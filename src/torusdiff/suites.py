@@ -56,6 +56,15 @@ def _map_trials(fn, items, serial: bool):
         return list(pool.map(fn, items))
 
 
+def _apply_params(p: dict, params: dict):
+    """Override a suite's defaults `p` in place; a key it lacks raises."""
+    unknown = sorted(set(params) - set(p))
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise ValueError(f"unknown parameter {names}; known: {sorted(p)}")
+    p.update(params)
+
+
 def _require_positive(params: dict, keys: tuple[str, ...]):
     for key in keys:
         value = params[key]
@@ -112,7 +121,7 @@ def run_norm_equivalence(params: dict) -> SuiteReport:
         "tol_bracket": 1e-12,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("tol_identity", "tol_bracket"))
     spec = GridSpec(p["dim"], p["size"])
     trials, aggregate = [], {}
@@ -155,7 +164,7 @@ def run_embedding(params: dict) -> SuiteReport:
         "seed": 3,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     spec = GridSpec(p["dim"], p["size"])
     bound = embedding_constant(spec, p["s"])
 
@@ -188,7 +197,7 @@ def run_algebra(params: dict) -> SuiteReport:
         "k_max": None,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("stability",))
     envelopes = {}
     trials = []
@@ -234,7 +243,7 @@ def run_quotient_rule(params: dict) -> SuiteReport:
         "tol_random_scale": 1e-6,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("tol_bundled", "tol_closure", "tol_random_scale"))
     spec = GridSpec(p["dim"], p["size"])
     x = spec.axis_coordinates()
@@ -286,7 +295,7 @@ def run_group(params: dict) -> SuiteReport:
         "tol_residual": 1e-7,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("tol_identity", "tol_residual"))
     spec = GridSpec(p["dim"], p["size"])
     u_modes = spec.size // 16
@@ -348,7 +357,7 @@ def run_taylor_identity(params: dict) -> SuiteReport:
         "tol_scale": 1e-7,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("tol_scale",))
     spec = GridSpec(p["dim"], p["size"])
     u, phi, du, dphi = _bundled_calculus_data(spec)
@@ -372,7 +381,7 @@ def run_taylor_order(params: dict) -> SuiteReport:
         "slope_margin": 0.9,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("slope_margin",))
     spec = GridSpec(p["dim"], p["size"])
     u, phi, _, _ = _bundled_calculus_data(spec)
@@ -408,7 +417,7 @@ def run_inverse_differential(params: dict) -> SuiteReport:
         "ratio_band": [3.5, 4.5],
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("eps", "ratio_band"))
     spec = GridSpec(p["dim"], p["size"])
     phi = make_diffeo(_sine_displacement(spec, p["amplitude"]))
@@ -438,7 +447,7 @@ def run_lipschitz(params: dict) -> SuiteReport:
         "stability": 0.15,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("radius", "stability"))
     spec = GridSpec(p["dim"], p["size"])
     x = spec.axis_coordinates()
@@ -471,7 +480,7 @@ def run_loss_of_derivative(params: dict) -> SuiteReport:
         "right_band": 0.20,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("growth_min", "right_band"))
     spec = GridSpec(p["dim"], p["size"])
     phi = make_diffeo(_sine_displacement(spec, p["base_amplitude"]))
@@ -509,7 +518,7 @@ def run_geodesic(params: dict) -> SuiteReport:
         "rk4_band": [3.7, 4.3],
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("tol_flat", "tol_scaling", "tol_energy"))
     spec = GridSpec(1, p["size"])
     x = spec.axis_coordinates()
@@ -595,7 +604,7 @@ def run_fractional(params: dict) -> SuiteReport:
         "slack": 1.05,
         "serial": False,
     }
-    p.update(params)
+    _apply_params(p, params)
     _require_positive(p, ("oracle_rel_tol", "slack"))
     spec = GridSpec(1, p["size"])
     fine_spec = GridSpec(1, p["oracle_size"])

@@ -177,6 +177,42 @@ def test_evaluate_nyquist_as_cosine():
     assert val == pytest.approx(np.cos(np.pi * 16 * off[0, 0]), abs=1e-12)
 
 
+def dense_evaluate(F, points):
+    """The dense sum evaluate must match: one exponential per point and mode,
+    Nyquist slots split evenly between k = -N/2 and k = N/2."""
+    spec = F.spec
+    half = spec.size // 2
+    k = np.arange(-half, half + 1)
+    split = np.where(np.abs(k) == half, 0.5, 1.0)
+    slots = k % spec.size
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, spec.dim)
+    ph = [split * np.exp(TWO_PI * 1j * pts[:, a, None] * k) for a in range(spec.dim)]
+    if spec.dim == 1:
+        return (F.coeffs[:, slots] @ ph[0].T).real
+    ext = F.coeffs[:, slots][:, :, slots]
+    return np.sum((ph[0] @ ext) * ph[1], axis=2).real
+
+
+@pytest.mark.parametrize("dim,size,components", [(1, 256, 1), (2, 64, 2)])
+@pytest.mark.parametrize("num_points", [0, 1, 513, 4097])
+def test_evaluate_precision_contract(dim, size, components, num_points):
+    spec = GridSpec(dim, size)
+    rng = np.random.default_rng(size + num_points)
+    # white noise: every mode, Nyquist included, carries O(1) weight
+    F = forward_transform(
+        GridFunction(spec, rng.standard_normal((components,) + spec.shape))
+    )
+    assert np.all(F.coeffs[(slice(None),) + (size // 2,) * dim] != 0)
+    pts = rng.uniform(-1.0, 2.0, (num_points, dim))
+    fast = evaluate(F, pts)
+    assert fast.shape == (components, num_points)
+    bound = 1e-13 * np.sum(np.abs(F.coeffs), axis=tuple(range(1, dim + 1)))
+    assert np.all(np.abs(fast - dense_evaluate(F, pts)) <= bound[:, None])
+    cut = num_points // 3
+    parts = np.concatenate([evaluate(F, pts[:cut]), evaluate(F, pts[cut:])], axis=1)
+    assert np.all(np.abs(parts - fast) <= bound[:, None])
+
+
 def test_refine_matches_evaluation():
     for spec in (GridSpec(1, 16), GridSpec(2, 8)):
         F = random_field(spec, 2.0, 17)

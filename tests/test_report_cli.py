@@ -140,6 +140,11 @@ def test_run_suite_unknown_name():
         run_suite("no-such-suite")
 
 
+def test_run_suite_rejects_unknown_param():
+    with pytest.raises(ValueError, match="'trails'"):
+        run_suite("group", {"trails": 1})
+
+
 def test_run_suite_drops_execution_mode_from_params():
     rep = run_suite("norm-equivalence", {"trials": 3, "size": 32, "serial": True})
     assert rep.passed
@@ -187,6 +192,15 @@ def test_cli_verify_serial_matches_threaded(tmp_path):
     rep_a = SuiteReport.from_dict(json.loads(out_a.read_text()))
     rep_b = SuiteReport.from_dict(json.loads(out_b.read_text()))
     assert rep_a.comparison_bytes() == rep_b.comparison_bytes()
+
+
+def test_cli_verify_unknown_param_is_an_error(tmp_path, capsys):
+    typo = {"suites": [{"suite": "group", "trails": 1}]}
+    cfg = write_json(tmp_path / "cfg.json", typo)
+    assert main(["verify", "group", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'trails'" in err
 
 
 # ---------------------------------------------------------------------------
