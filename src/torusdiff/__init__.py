@@ -47,7 +47,6 @@ from .grid import (
 )
 from .norms import (
     NormReport,
-    SobolevIndex,
     cr_norm,
     hs_norm,
     hs_norm_derivative,

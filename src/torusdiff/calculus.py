@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import multiply
-from .diffeo import Diffeo, compose_function, invert, make_diffeo
+from .diffeo import Diffeo, compose_function, invert, make_diffeo, solve_jacobian
 from .grid import (
     GridFunction,
     Spectrum,
@@ -250,16 +250,8 @@ def inv_differential(phi: Diffeo, dphi: GridFunction, psi: Diffeo | None = None)
         psi = invert(phi)
     n = phi.dim
     spec = phi.spec
-    jac = phi.jacobian.reshape(n, n, -1)
-    dv = dphi.values.reshape(n, -1)
-    if n == 1:
-        solved = dv / jac[0, 0]
-    else:
-        a, b, c, d = jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1]
-        det = a * d - b * c
-        solved = np.stack(
-            [(d * dv[0] - b * dv[1]) / det, (a * dv[1] - c * dv[0]) / det]
-        )
+    jac = phi.jacobian.reshape(n * n, -1)
+    solved = solve_jacobian(jac, dphi.values.reshape(n, -1))
     b_spec = forward_transform(GridFunction(spec, solved.reshape((n,) + spec.shape)))
     pulled = evaluate(b_spec, psi.point_images())
     return GridFunction(spec, -pulled.reshape((n,) + spec.shape))

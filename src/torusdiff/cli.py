@@ -63,8 +63,6 @@ def cmd_verify(args) -> int:
         params["seed"] = args.seed
     if args.grid is not None:
         params["size"] = args.grid
-    if args.serial:
-        params["serial"] = True
     try:
         report = run_suite(args.suite, params)
     except (DiffeoError, InversionError, ValueError) as exc:
@@ -85,7 +83,7 @@ def cmd_verify_all(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports, summary = run_all(config, serial=args.serial)
+    reports, summary = run_all(config)
     if "warning" in summary:
         print(f"warning: {summary['warning']}", file=sys.stderr)
     for entry in summary["suites"]:
@@ -175,13 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--grid", type=int, default=None, help="grid size override")
     p_verify.add_argument("--out", default=None, help="report output path")
-    p_verify.add_argument("--serial", action="store_true", help="disable threading")
     p_verify.set_defaults(func=cmd_verify)
 
     p_all = sub.add_parser("verify-all", help="run every suite in a config")
     p_all.add_argument("--config", default=None, help="JSON config path")
     p_all.add_argument("--out-dir", default=None, help="directory for reports")
-    p_all.add_argument("--serial", action="store_true", help="disable threading")
     p_all.set_defaults(func=cmd_verify_all)
 
     p_norm = sub.add_parser("norm", help="norm of a serialized field")

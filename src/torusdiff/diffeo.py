@@ -126,6 +126,26 @@ def _det_and_opnorm(grad_vals: np.ndarray, dim: int):
     return det, opnorm
 
 
+def gradient_sup(u: Spectrum, refine_factor: int = CERT_REFINE) -> float:
+    """sup over the refined grid of the operator norm of du."""
+    fine = refine(_displacement_gradient(u), refine_factor)
+    _, opnorm = _det_and_opnorm(fine.values, u.spec.dim)
+    return float(np.max(opnorm))
+
+
+def solve_jacobian(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve J s = r pointwise by Cramer's rule.
+
+    `jac` holds the entries of J row-major, shape (n*n, P); `r` is (n, P),
+    or (n,) for one right-hand side shared by every point.  Returns (n, P).
+    """
+    if len(r) == 1:
+        return np.stack([r[0] / jac[0]])
+    a, b, c, d = jac
+    det = a * d - b * c
+    return np.stack([(d * r[0] - b * r[1]) / det, (a * r[1] - c * r[0]) / det])
+
+
 def make_diffeo(
     displacement: Spectrum,
     min_det_floor: float = DEFAULT_MIN_DET,
@@ -207,18 +227,6 @@ def compose_diffeo(outer: Diffeo, inner: Diffeo) -> Diffeo:
     )
 
 
-def _solve_newton_step(jac_pts: np.ndarray, r: np.ndarray, dim: int) -> np.ndarray:
-    """Solve (I + du)(x) step = r pointwise; jac_pts is (n*n, P)."""
-    if dim == 1:
-        return r / (1.0 + jac_pts[0])[None]
-    a, b, c, d = jac_pts
-    a, d = 1.0 + a, 1.0 + d
-    det = a * d - b * c
-    s0 = (d * r[0] - b * r[1]) / det
-    s1 = (a * r[1] - c * r[0]) / det
-    return np.stack([s0, s1])
-
-
 def invert(
     phi: Diffeo,
     tol: float = 1e-12,
@@ -248,7 +256,8 @@ def invert(
     rnorm = np.sqrt(np.sum(r * r, axis=0))
     for _ in range(max_iter):
         jac_pts = evaluate(grad, x.T)
-        step = _solve_newton_step(jac_pts, r, n)
+        jac_pts[:: n + 1] += 1.0  # d phi = I + du
+        step = solve_jacobian(jac_pts, r)
         x_new = x - step
         r_new = residual(x_new)
         rn_new = np.sqrt(np.sum(r_new * r_new, axis=0))
@@ -310,16 +319,11 @@ def inverse_derivative_residual(phi: Diffeo, psi: Diffeo | None = None) -> float
     n = phi.dim
     spec = phi.spec
     lhs = inverse_transform(_displacement_gradient(psi.displacement)).values
-    jac = phi.jacobian.reshape(n, n, -1)
-    if n == 1:
-        binv = 1.0 / jac[0, 0] - 1.0
-        b_entries = binv[None]
-    else:
-        a, b, c, d = jac[0, 0], jac[0, 1], jac[1, 0], jac[1, 1]
-        det = a * d - b * c
-        b_entries = np.stack(
-            [d / det - 1.0, -b / det, -c / det, a / det - 1.0]
-        )
+    jac = phi.jacobian.reshape(n * n, -1)
+    eye = np.eye(n)
+    # column j of (d phi)^{-1} solves d phi s = e_j
+    jac_inv = np.stack([solve_jacobian(jac, e) for e in eye], axis=1)
+    b_entries = jac_inv - eye[:, :, None]
     b_spec = forward_transform(
         GridFunction(spec, b_entries.reshape((n * n,) + spec.shape))
     )

@@ -201,17 +201,6 @@ class Trajectory:
         g = m.metric(self.positions)
         return np.einsum("...pq,...p,...q->...", g, self.velocities, self.velocities)
 
-    def to_csv(self, path) -> None:
-        """Write rows t, alpha_1.., z_1.. for external plotting."""
-        d = self.positions.shape[-1]
-        header = ",".join(
-            ["t"]
-            + [f"alpha_{i + 1}" for i in range(d)]
-            + [f"z_{i + 1}" for i in range(d)]
-        )
-        data = np.column_stack([self.times, self.positions, self.velocities])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def geodesic_flow(
     m: Metric, y0: np.ndarray, v0: np.ndarray, T: float = 1.0, steps: int = 256

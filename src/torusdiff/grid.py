@@ -110,15 +110,6 @@ class GridFunction:
     def num_components(self) -> int:
         return self.values.shape[0]
 
-    @classmethod
-    def from_callable(cls, spec: GridSpec, func) -> "GridFunction":
-        """Sample func(points)->(..., d) or scalar array at the grid points."""
-        vals = np.asarray(func(spec.points()), dtype=np.float64)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        d = vals.shape[1]
-        return cls(spec, vals.T.reshape((d,) + spec.shape))
-
     def flat_points_values(self) -> np.ndarray:
         """Values as (num_points, d), matching GridSpec.points() order."""
         return self.values.reshape(self.num_components, -1).T
@@ -424,8 +415,3 @@ def band_project(f: GridFunction, coarse: GridSpec) -> Spectrum:
     for ax in coarse.spatial_axes():
         c = _restrict_axis(c, ax, coarse.size)
     return Spectrum(coarse, c)
-
-
-def grid_l2_norm(f: GridFunction) -> float:
-    """Discrete L2 norm: sqrt of the grid mean of |f|^2 over all components."""
-    return float(np.sqrt(np.mean(np.sum(f.values**2, axis=0))))

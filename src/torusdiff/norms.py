@@ -1,4 +1,4 @@
-"""Sobolev, Hölder and Slobodeckij norms for periodic fields.
+"""Sobolev, C^r and Slobodeckij norms for periodic fields.
 
 The H^s norm of a d-component field is computed from Fourier coefficients
 with the weight (1 + |2 pi k|^2)^s,
@@ -27,25 +27,6 @@ from .grid import (
     forward_transform,
     inverse_transform,
 )
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Regularity index with the two thresholds the torus calculus uses."""
-
-    s: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.s) or self.s < 0:
-            raise ValueError(f"s must be finite and >= 0, got {self.s}")
-
-    def embeds_in_c0(self, dim: int) -> bool:
-        """s > dim/2: continuous representatives exist."""
-        return self.s > dim / 2
-
-    def composition_regular(self, dim: int) -> bool:
-        """s > dim/2 + 1: the regime where composition and inversion behave."""
-        return self.s > dim / 2 + 1
 
 
 @dataclass(frozen=True)
@@ -155,17 +136,3 @@ def slobodeckij_seminorm(f: GridFunction, lam: float) -> float:
         diff2 = np.sum((vals - np.roll(vals, -m, axis=1)) ** 2)
         total += diff2 / dist ** (1.0 + 2.0 * lam)
     return float(np.sqrt(total * h * h))
-
-
-def holder_quotient_sup(f: GridFunction, lam: float) -> float:
-    """sup_{i != j} |f(x_i)-f(x_j)| / d(x_i,x_j)^lam on the grid (dim 1)."""
-    if f.spec.dim != 1:
-        raise ValueError("dim == 1 only")
-    n = f.spec.size
-    h = 1.0 / n
-    best = 0.0
-    for m in range(1, n):
-        dist = min(m * h, 1.0 - m * h)
-        diff = np.max(np.abs(f.values - np.roll(f.values, -m, axis=1)))
-        best = max(best, diff / dist**lam)
-    return float(best)

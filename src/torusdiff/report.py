@@ -87,13 +87,6 @@ class SuiteReport:
         )
 
 
-def strip_timing(payload: dict) -> dict:
-    out = dict(payload)
-    for key in TIMING_FIELDS:
-        out.pop(key, None)
-    return out
-
-
 def spectrum_to_dict(F: Spectrum) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,

@@ -3,24 +3,22 @@
 Each suite exercises one certified statement of the torus calculus at desk
 scale and returns a SuiteReport.  Suites draw every random object from
 seeds recorded in their parameters, so reports are reproducible bit for
-bit; trial loops go through _map_trials, which runs them in a thread pool
-unless `serial` is set.
+bit.  Trials run one after another in each suite's own loop.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import calculus, geodesic
 from .algebra import divide, multiply, one_plus, quotient_rule_residual, uset_membership
 from .diffeo import (
-    Diffeo,
     chain_rule_residual,
     compose_diffeo,
     compose_function,
+    gradient_sup,
     inverse_derivative_residual,
     invert,
     make_diffeo,
@@ -47,13 +45,6 @@ from .norms import (
 from .report import SCHEMA_VERSION, SuiteReport
 
 TWO_PI = 2.0 * np.pi
-
-
-def _map_trials(fn, items, serial: bool):
-    if serial:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(fn, items))
 
 
 def _apply_params(p: dict, params: dict):
@@ -85,15 +76,6 @@ def _cosine_field(spec: GridSpec, k: int, amplitude: float = 1.0) -> GridFunctio
     return GridFunction(spec, amplitude * np.cos(TWO_PI * k * x)[None])
 
 
-def gradient_sup(u: Spectrum, refine_factor: int = 4) -> float:
-    """sup over the refined grid of the operator norm of du."""
-    from .diffeo import _det_and_opnorm, _displacement_gradient
-
-    fine = refine(_displacement_gradient(u), refine_factor)
-    _, opnorm = _det_and_opnorm(fine.values, u.spec.dim)
-    return float(np.max(opnorm))
-
-
 def random_certified_displacement(
     spec: GridSpec, seed: int, modes: int, amplitude: float, s: float = 3.0
 ) -> Spectrum:
@@ -119,7 +101,6 @@ def run_norm_equivalence(params: dict) -> SuiteReport:
         "seed": 1,
         "tol_identity": 1e-10,
         "tol_bracket": 1e-12,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("tol_identity", "tol_bracket"))
@@ -128,13 +109,11 @@ def run_norm_equivalence(params: dict) -> SuiteReport:
     passed = True
     for s in p["s_values"]:
         bound = norm_equivalence_constant(s, spec.dim)
-
-        def one(i, s=s):
+        records = []
+        for i in range(p["trials"]):
             F = random_field(spec, float(s), p["seed"] + i)
             ratio = hs_norm(F, float(s)) / hs_norm_derivative(inverse_transform(F), s)
-            return {"s": s, "seed": p["seed"] + i, "ratio": ratio}
-
-        records = _map_trials(one, range(p["trials"]), p["serial"])
+            records.append({"s": s, "seed": p["seed"] + i, "ratio": ratio})
         ratios = np.array([rec["ratio"] for rec in records])
         if s <= 1:
             ok = bool(np.max(np.abs(ratios - 1.0)) < p["tol_identity"])
@@ -162,18 +141,15 @@ def run_embedding(params: dict) -> SuiteReport:
         "dim": 1,
         "trials": 100,
         "seed": 3,
-        "serial": False,
     }
     _apply_params(p, params)
     spec = GridSpec(p["dim"], p["size"])
     bound = embedding_constant(spec, p["s"])
-
-    def one(i):
+    records = []
+    for i in range(p["trials"]):
         F = random_field(spec, p["s"] + p["r"], p["seed"] + i)
         ratio = cr_norm(inverse_transform(F), p["r"]) / hs_norm(F, p["s"] + p["r"])
-        return {"seed": p["seed"] + i, "ratio": ratio}
-
-    records = _map_trials(one, range(p["trials"]), p["serial"])
+        records.append({"seed": p["seed"] + i, "ratio": ratio})
     ratios = [rec["ratio"] for rec in records]
     aggregate = {
         "max_ratio": max(ratios),
@@ -195,7 +171,6 @@ def run_algebra(params: dict) -> SuiteReport:
         "seed": 9,
         "stability": 0.10,
         "k_max": None,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("stability",))
@@ -203,18 +178,16 @@ def run_algebra(params: dict) -> SuiteReport:
     trials = []
     for size in p["sizes"]:
         spec = GridSpec(p["dim"], size)
-
-        def one(i):
+        ratios = []
+        for i in range(p["trials"]):
             f = random_field(spec, p["s"], p["seed"] + 2 * i)
             g = random_field(spec, p["s_prime"], p["seed"] + 2 * i + 1)
             fg = multiply(inverse_transform(f), inverse_transform(g))
-            ratio = hs_norm(forward_transform(fg), p["s_prime"]) / (
-                hs_norm(f, p["s"]) * hs_norm(g, p["s_prime"])
+            ratios.append(
+                hs_norm(forward_transform(fg), p["s_prime"])
+                / (hs_norm(f, p["s"]) * hs_norm(g, p["s_prime"]))
             )
-            return {"size": size, "trial": i, "ratio": ratio}
-
-        records = _map_trials(one, range(p["trials"]), p["serial"])
-        envelopes[size] = max(rec["ratio"] for rec in records)
+        envelopes[size] = max(ratios)
         trials.append({"size": size, "envelope": envelopes[size]})
     values = np.array(list(envelopes.values()))
     mean = float(np.mean(values))
@@ -241,7 +214,6 @@ def run_quotient_rule(params: dict) -> SuiteReport:
         "tol_bundled": 1e-8,
         "tol_closure": 1e-8,
         "tol_random_scale": 1e-6,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("tol_bundled", "tol_closure", "tol_random_scale"))
@@ -293,15 +265,14 @@ def run_group(params: dict) -> SuiteReport:
         "amplitude": 0.2,
         "tol_identity": 1e-10,
         "tol_residual": 1e-7,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("tol_identity", "tol_residual"))
     spec = GridSpec(p["dim"], p["size"])
     u_modes = spec.size // 16
     f_modes = spec.size // 8
-
-    def one(i):
+    records = []
+    for i in range(p["trials"]):
         u = random_certified_displacement(
             spec, p["seed"] + i, u_modes, p["amplitude"]
         )
@@ -313,15 +284,15 @@ def run_group(params: dict) -> SuiteReport:
         )
         chain = chain_rule_residual(f, phi)
         inv_res = inverse_derivative_residual(phi, psi=psi)
-        return {
-            "trial": i,
-            "min_det": phi.min_det,
-            "identity_defect": id_defect,
-            "chain_rule_residual": chain,
-            "inverse_derivative_residual": inv_res,
-        }
-
-    records = _map_trials(one, range(p["trials"]), p["serial"])
+        records.append(
+            {
+                "trial": i,
+                "min_det": phi.min_det,
+                "identity_defect": id_defect,
+                "chain_rule_residual": chain,
+                "inverse_derivative_residual": inv_res,
+            }
+        )
     worst_id = max(rec["identity_defect"] for rec in records)
     worst_chain = max(rec["chain_rule_residual"] for rec in records)
     worst_inv = max(rec["inverse_derivative_residual"] for rec in records)
@@ -355,7 +326,6 @@ def run_taylor_identity(params: dict) -> SuiteReport:
         "r_values": [1, 2],
         "s": 2.0,
         "tol_scale": 1e-7,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("tol_scale",))
@@ -379,24 +349,22 @@ def run_taylor_order(params: dict) -> SuiteReport:
         "seeds": [101, 102, 103],
         "s": 2.0,
         "slope_margin": 0.9,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("slope_margin",))
     spec = GridSpec(p["dim"], p["size"])
     u, phi, _, _ = _bundled_calculus_data(spec)
-
-    def one(args):
-        r, seed = args
-        du_dir = fourier_truncate(random_field(spec, p["s"] + r, seed), 8, "sharp")
-        du_dir = Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, p["s"] + r))
-        dphi_raw = random_certified_displacement(spec, seed + 7, 8, 0.5)
-        dphi_dir = inverse_transform(dphi_raw)
-        probe = calculus.remainder_order_probe(u, phi, du_dir, dphi_dir, r, s=p["s"])
-        return {"r": r, "seed": seed, **probe.as_dict()}
-
-    cases = [(r, seed) for r in p["r_values"] for seed in p["seeds"]]
-    records = _map_trials(one, cases, p["serial"])
+    records = []
+    for r in p["r_values"]:
+        for seed in p["seeds"]:
+            du_dir = fourier_truncate(random_field(spec, p["s"] + r, seed), 8, "sharp")
+            du_dir = Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, p["s"] + r))
+            dphi_raw = random_certified_displacement(spec, seed + 7, 8, 0.5)
+            dphi_dir = inverse_transform(dphi_raw)
+            probe = calculus.remainder_order_probe(
+                u, phi, du_dir, dphi_dir, r, s=p["s"]
+            )
+            records.append({"r": r, "seed": seed, **probe.as_dict()})
     passed = all(
         rec["degenerate"]
         or (rec["monotone"] and rec["slope"] >= rec["r"] + p["slope_margin"])
@@ -415,7 +383,6 @@ def run_inverse_differential(params: dict) -> SuiteReport:
         "amplitude": 0.1,
         "eps": [1e-3, 5e-4],
         "ratio_band": [3.5, 4.5],
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("eps", "ratio_band"))
@@ -445,7 +412,6 @@ def run_lipschitz(params: dict) -> SuiteReport:
         "seed": 31,
         "radius": 0.05,
         "stability": 0.15,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("radius", "stability"))
@@ -478,7 +444,6 @@ def run_loss_of_derivative(params: dict) -> SuiteReport:
         "base_amplitude": 0.09,
         "growth_min": 1.5,
         "right_band": 0.20,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("growth_min", "right_band"))
@@ -516,7 +481,6 @@ def run_geodesic(params: dict) -> SuiteReport:
         "tol_energy": 1e-8,
         "d0_band": [1.7, 2.3],
         "rk4_band": [3.7, 4.3],
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("tol_flat", "tol_scaling", "tol_energy"))
@@ -602,7 +566,6 @@ def run_fractional(params: dict) -> SuiteReport:
         "seed": 5,
         "oracle_rel_tol": 0.02,
         "slack": 1.05,
-        "serial": False,
     }
     _apply_params(p, params)
     _require_positive(p, ("oracle_rel_tol", "slack"))
@@ -618,8 +581,8 @@ def run_fractional(params: dict) -> SuiteReport:
         GridFunction(fine_spec, np.sin(TWO_PI * xf)[None]), lam
     )
     oracle_rel = abs(value - oracle) / oracle
-
-    def one(i):
+    records = []
+    for i in range(p["pairs"]):
         f = inverse_transform(
             fourier_truncate(
                 random_field(spec, 2.0, p["seed"] + 2 * i), spec.size // 8, "sharp"
@@ -632,9 +595,7 @@ def run_fractional(params: dict) -> SuiteReport:
         M = float(np.min(dphi_fine))
         L = float(np.max(np.abs(dphi_fine)))
         rhs = (1.0 / M) * L ** (0.5 + lam) * slobodeckij_seminorm(f, lam)
-        return {"pair": i, "lhs": lhs, "bound": rhs, "ratio": lhs / rhs}
-
-    records = _map_trials(one, range(p["pairs"]), p["serial"])
+        records.append({"pair": i, "lhs": lhs, "bound": rhs, "ratio": lhs / rhs})
     worst = max(rec["ratio"] for rec in records)
     passed = oracle_rel <= p["oracle_rel_tol"] and worst <= p["slack"]
     aggregate = {
@@ -704,13 +665,10 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
     start = time.perf_counter()
     report = SUITES[name](params)
     report.wall_time_s = time.perf_counter() - start
-    # execution mode is not a mathematical parameter; keep reports
-    # byte-identical between threaded and serial runs
-    report.params.pop("serial", None)
     return report
 
 
-def run_all(config: dict, serial: bool = False) -> tuple[list[SuiteReport], dict]:
+def run_all(config: dict) -> tuple[list[SuiteReport], dict]:
     """Run every configured suite; errors fail the aggregate but not the run."""
     entries = parse_config(config)
     reports = []
@@ -719,11 +677,8 @@ def run_all(config: dict, serial: bool = False) -> tuple[list[SuiteReport], dict
         summary["warning"] = "empty suite list: vacuous pass"
         return reports, summary
     for entry in entries:
-        params = dict(entry["params"])
-        if serial:
-            params["serial"] = True
         try:
-            report = run_suite(entry["suite"], params)
+            report = run_suite(entry["suite"], entry["params"])
             reports.append(report)
             summary["suites"].append(
                 {"suite": entry["suite"], "pass": report.passed}

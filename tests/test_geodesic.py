@@ -106,17 +106,6 @@ def test_rk4_fourth_order():
     assert 3.7 <= slope <= 4.3
 
 
-def test_trajectory_csv_round_trip(tmp_path):
-    m = exp_metric_1d()
-    traj = geodesic_flow(m, np.array([0.0]), np.array([1.0]), T=1.0, steps=32)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (33, 3)  # t, alpha_0, z_0
-    assert np.max(np.abs(data[:, 0] - traj.times)) < 1e-12
-    assert np.max(np.abs(data[:, 1] - traj.positions[:, 0])) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # pointwise exponential on fields
 

@@ -15,7 +15,6 @@ from torusdiff.grid import (
     evaluate,
     forward_transform,
     fourier_truncate,
-    grid_l2_norm,
     inverse_transform,
     random_field,
     refine,
@@ -310,8 +309,3 @@ def test_differentiate_is_linear(seed, c):
     lhs = differentiate(Spectrum(spec, F.coeffs + c * G.coeffs), 0).coeffs
     rhs = differentiate(F, 0).coeffs + c * differentiate(G, 0).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_grid_l2_norm_of_unit_sine():
-    spec = GridSpec(1, 64)
-    assert grid_l2_norm(sine_field(spec)) == pytest.approx(np.sqrt(0.5), rel=1e-12)

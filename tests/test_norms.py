@@ -14,10 +14,8 @@ from torusdiff.grid import (
     random_field,
 )
 from torusdiff.norms import (
-    SobolevIndex,
     cr_norm,
     embedding_constant,
-    holder_quotient_sup,
     hs_norm,
     hs_norm_derivative,
     multi_indices,
@@ -36,14 +34,6 @@ def single_mode(spec, k, amp=1.0):
 
 # ---------------------------------------------------------------------------
 # index bookkeeping
-
-
-def test_sobolev_index_thresholds():
-    assert SobolevIndex(1.0).embeds_in_c0(1)
-    assert not SobolevIndex(0.5).embeds_in_c0(1)
-    assert SobolevIndex(2.0).composition_regular(1)
-    assert not SobolevIndex(1.5).composition_regular(1)
-    assert not SobolevIndex(2.0).composition_regular(2)
 
 
 def test_multi_indices_counts():
@@ -212,15 +202,3 @@ def test_slobodeckij_rejects_bad_lambda():
             slobodeckij_seminorm(f, lam)
     with pytest.raises(ValueError):
         slobodeckij_seminorm(GridFunction(GridSpec(2, 16), np.zeros((1, 16, 16))), 0.5)
-
-
-def test_holder_quotient_of_sine():
-    # the lam-Holder quotient of sin is attained at small separations
-    spec = GridSpec(1, 256)
-    x = spec.axis_coordinates()
-    f = GridFunction(spec, np.sin(TWO_PI * x)[None])
-    q = holder_quotient_sup(f, 0.5)
-    h = spec.spacing
-    local = TWO_PI * h / h**0.5  # slope-limited nearest-neighbour quotient
-    assert q >= local * 0.9
-    assert q < 2.0 * TWO_PI
