@@ -1,6 +1,6 @@
 """Geodesic flow and pointwise exponential map for chart metrics.
 
-A Metric supplies g(z) and its coordinate derivative on an open chart of
+A Metric supplies g(z) and its Christoffel symbols on an open chart of
 R^d (d = 1 or 2).  Geodesics solve the first-order system
 
     ydot = v,   vdot^k = -Gamma^k_pq(y) v^p v^q,
@@ -35,16 +35,17 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class Metric:
-    """Chart metric: callables for g and dg, plus a kind tag for reports.
+    """Chart metric: callables for g and its Christoffel symbols, plus a kind
+    tag for reports.
 
-    metric(z): (..., d) -> (..., d, d);  derivative(z): (..., d) ->
-    (..., d, d, m) with the last axis the derivative direction.
+    metric(z): (..., d) -> (..., d, d);  christoffel(z): (..., d) float64 ->
+    (..., d, d, d), indexed Gamma[..., k, p, q].
     """
 
     dim: int
     kind: str
     metric: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
+    christoffel: Callable[[np.ndarray], np.ndarray]
 
 
 def flat_metric(dim: int) -> Metric:
@@ -54,26 +55,25 @@ def flat_metric(dim: int) -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.broadcast_to(eye, z.shape[:-1] + (dim, dim)).copy()
 
-    def dg(z):
-        z = np.asarray(z, dtype=np.float64)
+    def gamma(z):
         return np.zeros(z.shape[:-1] + (dim, dim, dim))
 
-    return Metric(dim, "flat", g, dg)
+    return Metric(dim, "flat", g, gamma)
 
 
 def exp_metric_1d() -> Metric:
-    """g(z) = e^{2z} on the line; geodesics are gamma(t) = gamma0 +
-    log(1 + v0 t) after rescaling, with a logarithmic barrier at v0 t = -1."""
+    """g(z) = e^{2z} on the line, so Gamma = g'/(2g) = 1; geodesics are
+    gamma(t) = gamma0 + log(1 + v0 t) after rescaling, with a logarithmic
+    barrier at v0 t = -1."""
 
     def g(z):
         z = np.asarray(z, dtype=np.float64)
         return np.exp(2.0 * z)[..., None]
 
-    def dg(z):
-        z = np.asarray(z, dtype=np.float64)
-        return 2.0 * np.exp(2.0 * z)[..., None, None]
+    def gamma(z):
+        return np.ones(z.shape[:-1] + (1, 1, 1))
 
-    return Metric(1, "exp1d", g, dg)
+    return Metric(1, "exp1d", g, gamma)
 
 
 def conformal_metric_2d(
@@ -81,7 +81,8 @@ def conformal_metric_2d(
     grad_lam: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Metric:
     """g = e^{2 lam(z)} I on the plane; the bundled conformal factor is
-    lam(z) = 0.2 sin(2 pi z1) cos(2 pi z2)."""
+    lam(z) = 0.2 sin(2 pi z1) cos(2 pi z2).  Its Christoffel symbols are
+    Gamma^k_pq = delta_kp d_q lam + delta_kq d_p lam - delta_pq d_k lam."""
     if lam is None:
 
         def lam(z):
@@ -89,48 +90,50 @@ def conformal_metric_2d(
 
         def grad_lam(z):
             c = 0.2 * 2 * np.pi
-            return np.stack(
-                [
-                    c * np.cos(2 * np.pi * z[..., 0]) * np.cos(2 * np.pi * z[..., 1]),
-                    -c * np.sin(2 * np.pi * z[..., 0]) * np.sin(2 * np.pi * z[..., 1]),
-                ],
-                axis=-1,
-            )
+            sz, cz = np.sin(2 * np.pi * z), np.cos(2 * np.pi * z)
+            return np.stack([c * cz[..., 0] * cz[..., 1], -c * sz[..., 0] * sz[..., 1]], axis=-1)
 
     elif grad_lam is None:
         raise ValueError("custom lam needs grad_lam (or use custom_metric)")
 
     eye = np.eye(2)
+    # Gamma[..., k, p, q] = sum_m coef[k, p, q, m] d_m lam; every sum has one
+    # nonzero term, so the product is exact
+    coef = (
+        np.einsum("kp,qm->kpqm", eye, eye)
+        + np.einsum("kq,pm->kpqm", eye, eye)
+        - np.einsum("pq,km->kpqm", eye, eye)
+    ).reshape(8, 2).T
 
     def g(z):
         z = np.asarray(z, dtype=np.float64)
         factor = np.exp(2.0 * lam(z))
         return factor[..., None, None] * eye
 
-    def dg(z):
-        z = np.asarray(z, dtype=np.float64)
-        factor = np.exp(2.0 * lam(z))
-        grad = grad_lam(z)  # (..., m)
-        return (2.0 * factor[..., None] * grad)[..., None, None, :] * eye[..., None]
+    def gamma(z):
+        d = grad_lam(z)
+        return (d @ coef).reshape(d.shape[:-1] + (2, 2, 2))
 
-    return Metric(2, "conformal2d", g, dg)
+    return Metric(2, "conformal2d", g, gamma)
 
 
 def custom_metric(
     dim: int, g: Callable[[np.ndarray], np.ndarray], fd_step: float = FD_STEP
 ) -> Metric:
-    """Wrap a plain metric callable, differentiating by centred differences."""
+    """Wrap a plain metric callable: Christoffel symbols by the generic
+    formula on centred differences, with g checked positive at every call."""
 
-    def dg(z):
-        z = np.asarray(z, dtype=np.float64)
+    def gamma(z):
+        gz = g(z)
+        _check_positive(gz, z, dim)
         cols = []
         for m in range(dim):
             e = np.zeros(dim)
             e[m] = fd_step
             cols.append((g(z + e) - g(z - e)) / (2.0 * fd_step))
-        return np.stack(cols, axis=-1)
+        return _levi_civita(gz, np.stack(cols, axis=-1))
 
-    return Metric(dim, "custom", g, dg)
+    return Metric(dim, "custom", g, gamma)
 
 
 def _check_positive(mvals: np.ndarray, z: np.ndarray, dim: int):
@@ -145,26 +148,23 @@ def _check_positive(mvals: np.ndarray, z: np.ndarray, dim: int):
         raise MetricError(z[tuple(idx)])
 
 
-def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:
-    """Gamma[..., k, p, q] = g^{kl}/2 (d_q g_pl + d_p g_lq - d_l g_pq)."""
-    z = np.asarray(z, dtype=np.float64)
-    g = m.metric(z)
-    _check_positive(g, z, m.dim)
-    dg = m.derivative(z)  # (..., p, q, m)
-    if m.dim == 1:
-        ginv = 1.0 / g
-        return 0.5 * ginv * dg[..., 0]
-    ginv = np.linalg.inv(g)
+def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., k, p, q] = g^{kl}/2 (d_q g_pl + d_p g_lq - d_l g_pq) from
+    g (..., d, d) and dg (..., p, q, m), the last axis the derivative direction."""
     t1 = np.swapaxes(dg, -1, -2)  # (..., p, l, q) -> index (p, q, l)
     t2 = np.swapaxes(dg, -3, -1)  # (..., l, q, p) -> index (p, q, l)
-    term = t1 + t2 - dg
-    return 0.5 * np.einsum("...kl,...pql->...kpq", ginv, term)
+    return 0.5 * np.einsum("...kl,...pql->...kpq", np.linalg.inv(g), t1 + t2 - dg)
+
+
+def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:
+    """Gamma[..., k, p, q] of the metric at the chart points z (..., d)."""
+    return m.christoffel(np.asarray(z, dtype=np.float64))
 
 
 def _acceleration(m: Metric, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     gamma = christoffel(m, y)
     if m.dim == 1:
-        return -(gamma[..., 0, 0] * v[..., 0] * v[..., 0])[..., None]
+        return -(gamma[..., 0, 0, 0] * v[..., 0] * v[..., 0])[..., None]
     return -np.einsum("...kpq,...p,...q->...k", gamma, v, v)
 
 
@@ -190,14 +190,16 @@ def _validate_time_steps(T: float, steps: int):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Discrete geodesic: times (M+1,), positions/velocities (M+1, d)."""
+    """Discrete geodesics: times (M+1,), positions/velocities (M+1, d) for
+    one geodesic or (M+1, P, d) for a batch of P."""
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
 
     def energies(self, m: Metric) -> np.ndarray:
-        """g(y)(v, v) along the trajectory; constant for exact geodesics."""
+        """g(y)(v, v) along the trajectory, (M+1,) or (M+1, P); constant for
+        exact geodesics."""
         g = m.metric(self.positions)
         return np.einsum("...pq,...p,...q->...", g, self.velocities, self.velocities)
 
@@ -205,16 +207,17 @@ class Trajectory:
 def geodesic_flow(
     m: Metric, y0: np.ndarray, v0: np.ndarray, T: float = 1.0, steps: int = 256
 ) -> Trajectory:
-    """Integrate one geodesic from (y0, v0) over [0, T] with RK4."""
+    """Integrate geodesics from (y0, v0) over [0, T] with RK4: one from
+    initial data of shape (d,), or P independent ones from shape (P, d)."""
     _validate_time_steps(T, steps)
     y = np.atleast_1d(np.asarray(y0, dtype=np.float64))
     v = np.atleast_1d(np.asarray(v0, dtype=np.float64))
-    if y.shape != (m.dim,) or v.shape != (m.dim,):
-        raise ValueError(f"initial data must have shape ({m.dim},)")
+    if y.shape != v.shape or y.ndim > 2 or y.shape[-1] != m.dim:
+        raise ValueError(f"initial data must have shape ({m.dim},) or (P, {m.dim})")
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
-    ys = np.empty((steps + 1, m.dim))
-    vs = np.empty((steps + 1, m.dim))
+    ys = np.empty((steps + 1,) + y.shape)
+    vs = np.empty((steps + 1,) + y.shape)
     ys[0], vs[0] = y, v
     for i in range(steps):
         y, v = _rk4(m, y, v, h)

@@ -76,6 +76,10 @@ class SuiteReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SuiteReport":
+        """Inverse of to_dict; an unknown key raises instead of being dropped."""
+        unknown = sorted(set(payload) - set(cls("", {}).to_dict()))
+        if unknown:
+            raise ValueError(f"unknown report key(s): {', '.join(map(repr, unknown))}")
         return cls(
             suite=payload["suite"],
             params=payload.get("params", {}),

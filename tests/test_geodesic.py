@@ -41,11 +41,55 @@ def test_exp_metric_christoffel_closed_form():
     assert np.max(np.abs(gamma - 1.0)) < 1e-12
 
 
+def _bundled_grad_lam(z):
+    c = 0.2 * TWO_PI
+    s1, c1 = np.sin(TWO_PI * z[..., 0]), np.cos(TWO_PI * z[..., 0])
+    s2, c2 = np.sin(TWO_PI * z[..., 1]), np.cos(TWO_PI * z[..., 1])
+    return np.stack([c * c1 * c2, -c * s1 * s2], axis=-1)
+
+
+def _custom_lam(z):
+    return 0.3 * z[..., 0] ** 2 - 0.1 * np.sin(z[..., 1]) + 0.05 * z[..., 0] * z[..., 1]
+
+
+def _custom_grad_lam(z):
+    return np.stack(
+        [0.6 * z[..., 0] + 0.05 * z[..., 1], -0.1 * np.cos(z[..., 1]) + 0.05 * z[..., 0]],
+        axis=-1,
+    )
+
+
+CONFORMAL = conformal_metric_2d()
+
+# (metric, analytic dg[..., p, q, m] with the last axis the derivative direction)
+CLOSED_FORMS = {
+    "flat1": (flat_metric(1), lambda z: np.zeros(z.shape[:-1] + (1, 1, 1))),
+    "flat2": (flat_metric(2), lambda z: np.zeros(z.shape[:-1] + (2, 2, 2))),
+    "exp1d": (exp_metric_1d(), lambda z: 2.0 * np.exp(2.0 * z)[..., None, None]),
+    "conformal2d": (
+        CONFORMAL,
+        lambda z: 2.0 * CONFORMAL.metric(z)[..., None] * _bundled_grad_lam(z)[..., None, None, :],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_christoffel_matches_generic_formula(name):
+    """Precision contract: each bundled metric's closed-form Gamma equals the
+    generic g^{kl}/2 (...) formula fed the analytic derivative of g."""
+    m, dg = CLOSED_FORMS[name]
+    z = np.random.default_rng(5).uniform(-3.0, 4.0, size=(4, 50, m.dim))
+    want = geodesic._levi_civita(m.metric(z), dg(z))
+    got = christoffel(m, z)
+    assert got.shape == z.shape[:-1] + (m.dim, m.dim, m.dim)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_custom_metric_matches_closed_form_derivative():
-    conf = conformal_metric_2d()
-    fd = custom_metric(2, conf.metric)
-    z = np.random.default_rng(3).random((6, 2))
-    assert np.max(np.abs(christoffel(conf, z) - christoffel(fd, z))) < 1e-6
+    z = np.random.default_rng(3).uniform(-1.5, 2.5, size=(6, 2))
+    for conf in (conformal_metric_2d(), conformal_metric_2d(_custom_lam, _custom_grad_lam)):
+        fd = custom_metric(2, conf.metric)
+        assert np.max(np.abs(christoffel(conf, z) - christoffel(fd, z))) < 1e-6
 
 
 def test_non_positive_definite_rejected():
@@ -87,6 +131,29 @@ def test_energy_conserved_on_conformal_metric():
     traj = geodesic_flow(m, np.array([0.15, 0.4]), np.array([0.3, 0.2]), T=1.0, steps=256)
     e = traj.energies(m)
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-8
+
+
+def test_batched_flow_equals_single_point_flows():
+    m = conformal_metric_2d()
+    rng = np.random.default_rng(8)
+    y0 = rng.uniform(-0.5, 1.5, size=(5, 2))
+    v0 = rng.uniform(-0.3, 0.3, size=(5, 2))
+    batch = geodesic_flow(m, y0, v0, T=1.0, steps=64)
+    assert batch.positions.shape == batch.velocities.shape == (65, 5, 2)
+    assert batch.energies(m).shape == (65, 5)
+    for j in range(5):
+        one = geodesic_flow(m, y0[j], v0[j], T=1.0, steps=64)
+        assert np.max(np.abs(batch.positions[:, j] - one.positions)) <= 1e-15
+        assert np.max(np.abs(batch.velocities[:, j] - one.velocities)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "y_shape, v_shape",
+    [((3, 2), (2,)), ((3, 2), (2, 2)), ((2,), (3,)), ((3,), (3,)), ((1, 3, 2), (1, 3, 2))],
+)
+def test_flow_rejects_mismatched_initial_data(y_shape, v_shape):
+    with pytest.raises(ValueError):
+        geodesic_flow(conformal_metric_2d(), np.zeros(y_shape), np.zeros(v_shape), steps=16)
 
 
 def test_time_and_step_validation():

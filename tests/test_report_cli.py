@@ -55,6 +55,21 @@ def test_suite_report_round_trip():
     assert back == rep
 
 
+@pytest.mark.parametrize("name", ["norm-equivalence", "lipschitz", "geodesic"])
+def test_suite_report_round_trip_is_lossless(name):
+    rep = run_suite(name, {})
+    assert SuiteReport.from_dict(rep.to_dict()).to_dict() == rep.to_dict()
+    payload = json.loads(rep.to_json())
+    assert SuiteReport.from_dict(payload).to_dict() == payload
+
+
+def test_suite_report_rejects_unknown_key():
+    payload = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}).to_dict()
+    payload["aggregte"] = payload.pop("aggregate")
+    with pytest.raises(ValueError, match="'aggregte'"):
+        SuiteReport.from_dict(payload)
+
+
 def test_comparison_bytes_ignores_timing_only():
     a = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}, passed=True, wall_time_s=0.1)
     b = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}, passed=True, wall_time_s=9.9)
