@@ -144,9 +144,10 @@ class Spectrum:
 
 def _mirror_modes(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """coeffs re-indexed k -> -k along every spatial axis."""
+    neg = -np.arange(spec.size) % spec.size  # FFT slot of -k for each slot k
     mirror = coeffs
     for ax in spec.spatial_axes():
-        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+        mirror = np.take(mirror, neg, axis=ax)
     return mirror
 
 

@@ -76,18 +76,25 @@ class SuiteReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SuiteReport":
-        """Inverse of to_dict; an unknown key raises instead of being dropped."""
-        unknown = sorted(set(payload) - set(cls("", {}).to_dict()))
+        """Inverse of to_dict; a missing or unknown key, or a schema version
+        other than SCHEMA_VERSION, raises ValueError."""
+        keys = set(cls("", {}).to_dict())
+        unknown = sorted(set(payload) - keys)
         if unknown:
             raise ValueError(f"unknown report key(s): {', '.join(map(repr, unknown))}")
+        missing = sorted(keys - set(payload))
+        if missing:
+            raise ValueError(f"missing report key(s): {', '.join(map(repr, missing))}")
+        if payload["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {payload['schema_version']!r}")
         return cls(
             suite=payload["suite"],
-            params=payload.get("params", {}),
-            trials=payload.get("trials", []),
-            aggregate=payload.get("aggregate", {}),
-            passed=payload.get("pass", False),
-            wall_time_s=payload.get("wall_time_s", 0.0),
-            schema_version=payload.get("schema_version", SCHEMA_VERSION),
+            params=payload["params"],
+            trials=payload["trials"],
+            aggregate=payload["aggregate"],
+            passed=payload["pass"],
+            wall_time_s=payload["wall_time_s"],
+            schema_version=payload["schema_version"],
         )
 
 
@@ -130,7 +137,8 @@ def diffeo_to_dict(phi: Diffeo) -> dict:
 
 
 def diffeo_from_dict(payload: dict) -> Diffeo:
-    """Rebuild and re-certify; the stored certificate is advisory only."""
+    """Rebuild and re-certify under the stored floor and contraction flag,
+    both required; the stored min_det and max_grad are advisory only."""
     if payload.get("kind") != "diffeo":
         raise ValueError(f"expected a diffeo payload, got kind={payload.get('kind')!r}")
     spec = GridSpec(payload["grid"]["dim"], payload["grid"]["size"])
@@ -138,11 +146,14 @@ def diffeo_from_dict(payload: dict) -> Diffeo:
         payload["displacement_im"], dtype=np.float64
     )
     cert = payload.get("certificate", {})
-    floor = cert.get("min_det_floor", 0.05)
+    missing = [k for k in ("min_det_floor", "contraction_certified") if k not in cert]
+    if missing:
+        names = ", ".join(f"'certificate.{k}'" for k in missing)
+        raise ValueError(f"missing diffeo key(s): {names}")
     return make_diffeo(
         Spectrum(spec, coeffs),
-        min_det_floor=floor,
-        check_contraction=cert.get("contraction_certified", True),
+        min_det_floor=cert["min_det_floor"],
+        check_contraction=cert["contraction_certified"],
     )
 
 

@@ -1,15 +1,19 @@
 """Taylor expansion of composition, remainders, the inverse differential,
 translation quotients, and the derivative-loss probe."""
 
+import math
+
 import numpy as np
 import pytest
 
 from torusdiff import calculus
+from torusdiff.algebra import multiply
 from torusdiff.diffeo import compose_function, make_diffeo
 from torusdiff.grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    differentiate_multi,
     evaluate,
     forward_transform,
     fourier_truncate,
@@ -17,6 +21,7 @@ from torusdiff.grid import (
     random_field,
 )
 from torusdiff.norms import hs_norm
+from torusdiff.suites import random_certified_displacement
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,6 +102,79 @@ def test_remainders_vanish_for_zero_perturbation(bundle):
     zero = GridFunction(spec, np.zeros((1, 256)))
     r1 = calculus.remainder_r1(u, phi, zero, 1)
     assert np.max(np.abs(r1.values)) < 1e-14
+
+
+def _per_node_remainders(u, phi, du, dphi, r):
+    """R1 and R2 as separate per-node sums: one path per remainder and one
+    dealiased product per Gauss-Legendre node (the oracle for the fused
+    pass).  Also returns max |d^a u o phi| |dphi^a|, the size of the terms
+    whose differences make up R1."""
+    spec = phi.spec
+    ts, ws = calculus._gauss_legendre_01(calculus.GL_NODES)
+    r1 = np.zeros((u.num_components,) + spec.shape)
+    r2 = np.zeros((du.num_components,) + spec.shape)
+    size = 0.0
+    path1 = [calculus.path_diffeo(phi, dphi, t) for t in ts]
+    path2 = [calculus.path_diffeo(phi, dphi, t) for t in ts]
+    for alpha in calculus._exact_indices(spec.dim, r):
+        coeff = r / math.prod(math.factorial(a) for a in alpha)
+        mono = calculus._monomial(dphi, alpha)
+        da_u = differentiate_multi(u, alpha)
+        da_du = differentiate_multi(du, alpha)
+        base = compose_function(da_u, phi).values
+        size = max(size, np.max(np.abs(base)) * np.max(np.abs(mono.values)))
+        for t, w, phi_t in zip(ts, ws, path1):
+            bracket = GridFunction(spec, compose_function(da_u, phi_t).values - base)
+            r1 += coeff * w * (1.0 - t) ** (r - 1) * multiply(bracket, mono).values
+        for t, w, phi_t in zip(ts, ws, path2):
+            term = compose_function(da_du, phi_t)
+            r2 += coeff * w * (1.0 - t) ** (r - 1) * multiply(term, mono).values
+    return r1, r2, size
+
+
+def _random_directions(spec, seed, r, eps):
+    du = fourier_truncate(random_field(spec, 2.0 + r, seed), 4, "sharp")
+    du = Spectrum(spec, eps * du.coeffs / hs_norm(du, 2.0 + r))
+    disp = random_certified_displacement(spec, seed + 7, 4, 0.5)
+    return du, GridFunction(spec, eps * inverse_transform(disp).values)
+
+
+def _remainder_cases(bundle, r):
+    """(u, phi, du, dphi, cancels): `cancels` marks the smallest probe
+    scale, where R1 is a difference of terms about 1/eps larger than
+    itself."""
+    spec, u, phi, du, dphi = bundle
+    yield u, phi, du, dphi, False
+    yield (u, phi) + _random_directions(spec, 101, r, 2.0**-2) + (False,)
+    yield (u, phi) + _random_directions(spec, 103, r, 2.0**-8) + (True,)
+    spec2 = GridSpec(2, 16)
+    u2 = fourier_truncate(random_field(spec2, 3.0, 5), 4, "sharp")
+    phi2 = make_diffeo(random_certified_displacement(spec2, 6, 3, 0.3))
+    yield (u2, phi2) + _random_directions(spec2, 7, r, 0.1) + (False,)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_taylor_remainder_matches_per_node_sums(bundle, r):
+    """Precision contract of the fused pass: R1 + R2 from one certified
+    path and one product per multi-index stays within 1e-13 (relative,
+    max-norm) of the per-node sums, and so does each remainder alone.
+
+    Where R1 cancels (eps = 2^-8), both forms carry the roundoff of
+    evaluating d^a u at the nodes, about 1e-16 |d^a u o phi| |dphi^a|,
+    and the two may order it differently (a stacked evaluation may take
+    another BLAS kernel); there the bound is taken relative to that
+    size instead of to |R1 + R2|.
+    """
+    for u, phi, du, dphi, cancels in _remainder_cases(bundle, r):
+        r1, r2, size = _per_node_remainders(u, phi, du, dphi, r)
+        floor = size if cancels else 0.0
+        for got, want in (
+            (calculus.taylor_remainder(u, phi, du, dphi, r), r1 + r2),
+            (calculus.remainder_r1(u, phi, dphi, r), r1),
+            (calculus.remainder_r2(du, phi, dphi, r), r2),
+        ):
+            err = np.max(np.abs(got.values - want))
+            assert err <= 1e-13 * max(np.max(np.abs(want)), floor)
 
 
 def test_remainder_probe_slope(bundle):

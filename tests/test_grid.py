@@ -9,6 +9,7 @@ from torusdiff.grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    _mirror_modes,
     band_project,
     differentiate,
     differentiate_multi,
@@ -77,6 +78,20 @@ def test_forward_transform_exactly_hermitian():
     F = forward_transform(GridFunction(spec, rng.standard_normal(64)[None]))
     mirror = np.roll(np.flip(F.coeffs, axis=1), 1, axis=1)
     assert np.array_equal(np.conj(mirror), F.coeffs)
+
+
+@pytest.mark.parametrize("dim,size,components", [(1, 16, 1), (1, 64, 3), (2, 8, 1), (2, 16, 2)])
+def test_mirror_modes_is_the_roll_of_the_flip(dim, size, components):
+    """The k -> -k re-indexing is a pure permutation, Nyquist slot included:
+    bit-identical to rolling the flipped array by one on every axis."""
+    spec = GridSpec(dim, size)
+    rng = np.random.default_rng(size + components)
+    shape = (components,) + spec.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = coeffs
+    for ax in spec.spatial_axes():
+        want = np.roll(np.flip(want, axis=ax), 1, axis=ax)
+    assert np.array_equal(_mirror_modes(spec, coeffs), want)
 
 
 def test_spectrum_rejects_non_hermitian():

@@ -70,6 +70,23 @@ def test_suite_report_rejects_unknown_key():
         SuiteReport.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "key", ["schema_version", "suite", "params", "trials", "aggregate", "pass", "wall_time_s"]
+)
+def test_suite_report_rejects_truncated_payload(key):
+    payload = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}, passed=True).to_dict()
+    del payload[key]
+    with pytest.raises(ValueError, match=f"missing report key.*'{key}'"):
+        SuiteReport.from_dict(payload)
+
+
+def test_suite_report_rejects_other_schema_version():
+    payload = SuiteReport("demo", {"seed": 1}).to_dict()
+    payload["schema_version"] = "0.9"
+    with pytest.raises(ValueError, match="schema_version '0.9'"):
+        SuiteReport.from_dict(payload)
+
+
 def test_comparison_bytes_ignores_timing_only():
     a = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}, passed=True, wall_time_s=0.1)
     b = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}, passed=True, wall_time_s=9.9)
@@ -118,6 +135,17 @@ def test_diffeo_codec_round_trip():
     assert np.array_equal(back.displacement.coeffs, phi.displacement.coeffs)
     assert back.min_det == pytest.approx(phi.min_det, rel=1e-12)
     assert back.contraction_certified
+
+
+@pytest.mark.parametrize("key", ["min_det_floor", "contraction_certified"])
+def test_diffeo_codec_rejects_truncated_certificate(key):
+    payload = json.loads(dump_json(diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))))
+    del payload["certificate"][key]
+    with pytest.raises(ValueError, match=f"'certificate.{key}'"):
+        diffeo_from_dict(payload)
+    del payload["certificate"]
+    with pytest.raises(ValueError, match="'certificate.min_det_floor'"):
+        diffeo_from_dict(payload)
 
 
 def test_serialized_inverse_reloads_without_certificate():
