@@ -172,11 +172,10 @@ def inverse_transform(F: Spectrum) -> GridFunction:
 
 
 def _extend_axis(coeffs: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Reorder one FFT axis to -N/2..N/2, halving the Nyquist slot."""
-    idx = np.fft.fftshift(np.arange(size))  # slots for k=-N/2..N/2-1
-    ext = np.take(coeffs, idx, axis=axis)
-    nyq = np.take(ext, [0], axis=axis) / 2.0
-    ext = np.concatenate([nyq, np.delete(ext, 0, axis=axis), nyq], axis=axis)
+    """Reorder one FFT axis to -N/2..N/2, halving the Nyquist slot at both ends."""
+    half = size // 2
+    ext = np.take(coeffs, np.arange(-half, half + 1) % size, axis=axis)
+    ext[(slice(None),) * axis + ([0, -1],)] *= 0.5
     return ext
 
 
@@ -185,21 +184,38 @@ def _extend_axis(coeffs: np.ndarray, axis: int, size: int) -> np.ndarray:
 _BLOCK_POINTS = 512
 
 
-def _phases(x: np.ndarray, size: int) -> np.ndarray:
-    """Phase table exp(2 pi i x k) for k = 0..N/2, shape (P, N/2+1).
+def _factor_sizes(size: int) -> tuple[int, int]:
+    """(A, b) with b = isqrt(N/2) + 1 and A*b >= N/2+1, so k = a*b + c."""
+    b = math.isqrt(size // 2) + 1
+    return -(-(size // 2 + 1) // b), b
 
-    With x reduced mod 1 and k = a*b + c (0 <= c < b ~ sqrt(N/2)), each
-    entry is the product of a coarse phase exp(2 pi i x a b) and a fine
-    phase exp(2 pi i x c): about 2*sqrt(N/2) complex exponentials per
-    point instead of N/2+1.
+
+def _powers(w: np.ndarray, n: int) -> np.ndarray:
+    """w**j for j = 0..n-1 as running products, shape (len(w), n)."""
+    table = np.empty((n, len(w)), dtype=np.complex128)
+    table[0] = 1.0
+    table[1:] = w
+    return np.cumprod(table, axis=0).T
+
+
+def _phases(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factor tables of exp(2 pi i x k) for k = a*b + c (see _factor_sizes).
+
+    Returns coarse (P, A) holding exp(2 pi i x a b) and fine (P, b) holding
+    exp(2 pi i x c).  Each is the running product of one exponential of x
+    reduced mod 1 to [-1/2, 1/2]: two exponentials per point.
     """
-    modes = size // 2 + 1
-    b = math.isqrt(modes - 1) + 1
-    x = (x - np.floor(x))[:, None]
-    coarse = np.exp(TWO_PI * 1j * x * np.arange(0, modes, b))
-    fine = np.exp(TWO_PI * 1j * x * np.arange(b))
+    A, b = _factor_sizes(size)
+    x = x - np.round(x)
+    coarse = _powers(np.exp(TWO_PI * 1j * b * x), A)
+    return coarse, _powers(np.exp(TWO_PI * 1j * x), b)
+
+
+def _phase_table(x: np.ndarray, size: int) -> np.ndarray:
+    """exp(2 pi i x k) for k = 0..N/2, shape (P, N/2+1), from its factors."""
+    coarse, fine = _phases(x, size)
     table = coarse[:, :, None] * fine[:, None, :]
-    return table.reshape(len(x), -1)[:, :modes]
+    return table.reshape(len(x), -1)[:, : size // 2 + 1]
 
 
 def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
@@ -215,6 +231,11 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
     1e-13 * sum_k |fhat_k| per component, for points anywhere in
     [-1, 2]^dim.  Points are processed in blocks of at most 512, so the
     per-block temporaries stay O(512 * N * d) whatever P is.
+
+    Cost model: two complex exponentials per point and axis (_phases).  1D
+    builds no (P, N/2+1) phase table: the folded coefficients, laid out by
+    k = a*b + c, meet the fine factor in one GEMM, then the coarse factor.
+    2D runs one GEMM over the k_2 table, then contracts k_1 point by point.
     """
     spec = F.spec
     pts = np.asarray(points, dtype=np.float64)
@@ -223,6 +244,7 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
     if pts.shape[1] != spec.dim:
         raise ValueError(f"points must have {spec.dim} columns, got {pts.shape}")
     half = spec.size // 2
+    d = F.num_components
     ext = F.coeffs
     for ax in spec.spatial_axes():
         ext = _extend_axis(ext, ax, spec.size)  # (d, N+1[, N+1]), k = -N/2..N/2
@@ -232,28 +254,34 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
     flip = (slice(None),) + (slice(None, None, -1),) * spec.dim
     fold = (ext + np.conj(ext[flip]))[:, half:]
     fold[:, 0] /= 2.0
-    if spec.dim == 2:
-        fold = fold.transpose(2, 0, 1).reshape(spec.size + 1, -1)  # (k_2, (c, k_1))
-    out = np.empty((F.num_components, pts.shape[0]))
+    if spec.dim == 1:
+        # zero-pad k_1 to A*b slots and lay them out as (c, (d, a))
+        A, b = _factor_sizes(spec.size)
+        pad = np.zeros((d, A * b), dtype=np.complex128)
+        pad[:, : half + 1] = fold
+        fold = pad.reshape(d, A, b).transpose(2, 0, 1).reshape(b, d * A)
+    else:
+        fold = fold.transpose(2, 0, 1).reshape(spec.size + 1, -1)  # (k_2, (d, k_1))
+    out = np.empty((d, pts.shape[0]))
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
         block = pts[start : start + _BLOCK_POINTS]
-        ph0 = _phases(block[:, 0], spec.size)  # (B, N/2+1)
         if spec.dim == 1:
-            vals = fold @ ph0.T
+            coarse, fine = _phases(block[:, 0], spec.size)
+            inner = (fine @ fold).reshape(len(block), d, -1)  # (P, d, a)
+            vals = inner @ coarse[:, :, None]
         else:
-            ph1 = _phases(block[:, 1], spec.size)
+            ph1 = _phase_table(block[:, 1], spec.size)
             # k_2 = -N/2..N/2
             ph1 = np.concatenate([np.conj(ph1[:, :0:-1]), ph1], axis=1)
-            inner = (ph1 @ fold).reshape(len(block), F.num_components, half + 1)
-            vals = np.einsum("pcj,pj->cp", inner, ph0)
-        out[:, start : start + _BLOCK_POINTS] = vals.real
+            inner = (ph1 @ fold).reshape(len(block), d, half + 1)  # (P, d, k_1)
+            vals = inner @ _phase_table(block[:, 0], spec.size)[:, :, None]
+        out[:, start : start + _BLOCK_POINTS] = vals[:, :, 0].real.T
     return out
 
 
 def _symbol(spec: GridSpec, axis: int) -> np.ndarray:
     """Derivative symbol 2*pi*i*k along `axis`, Nyquist zeroed."""
-    k = spec.wavenumbers()
-    k = k.copy()
+    k = spec.wavenumbers()  # a fresh array
     k[spec.size // 2] = 0.0
     sym = TWO_PI * 1j * k
     if spec.dim == 1:
@@ -302,27 +330,20 @@ def fourier_truncate(F: Spectrum, cutoff: float, mode: str = "sharp") -> Spectru
 
 
 @lru_cache(maxsize=32)
-def _half_modes(dim: int, size: int) -> tuple[tuple[int, ...], ...]:
+def _half_modes(dim: int, size: int) -> np.ndarray:
     """One representative per conjugate mode pair, Nyquist excluded.
 
-    Ordered by the l-infinity ring so that the list for a coarse grid is a
-    prefix of the list for any finer grid: random fields drawn mode by mode
-    then share their low modes across resolutions.
+    A read-only (M, dim) integer array ordered by the l-infinity ring, then
+    lexicographically, so that the list for a coarse grid is a prefix of
+    the list for any finer grid: random fields drawn mode by mode then share
+    their low modes across resolutions.
     """
-    half = size // 2
-    if dim == 1:
-        return tuple((k,) for k in range(1, half))
-    modes = []
-    for ring in range(1, half):
-        ring_modes = []
-        for k1 in range(-ring, ring + 1):
-            for k2 in range(-ring, ring + 1):
-                if max(abs(k1), abs(k2)) != ring:
-                    continue
-                if k1 > 0 or (k1 == 0 and k2 > 0):
-                    ring_modes.append((k1, k2))
-        modes.extend(sorted(ring_modes))
-    return tuple(modes)
+    k = np.arange(1 - size // 2, size // 2)
+    grid = np.stack(np.meshgrid(*[k] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    grid = grid[(grid[:, 0] > 0) | ((grid[:, 0] == 0) & (grid[:, -1] > 0))]
+    modes = grid[np.argsort(np.max(np.abs(grid), axis=1), kind="stable")]
+    modes.flags.writeable = False
+    return modes
 
 
 def random_field(
@@ -344,22 +365,16 @@ def random_field(
     if decay <= spec.dim / 2:
         raise ValueError(f"decay must exceed dim/2 = {spec.dim / 2}, got {decay}")
     rng = np.random.default_rng(seed)
-    modes = _half_modes(spec.dim, spec.size)
-    exponent = -(s + decay) / 2.0
-    ksq = np.array([sum(c * c for c in m) for m in modes], dtype=np.float64)
-    sigma = (1.0 + ksq) ** exponent
+    pos = _half_modes(spec.dim, spec.size)  # (M, dim)
+    ksq = np.sum(pos * pos, axis=1, dtype=np.float64)
+    sigma = (1.0 + ksq) ** (-(s + decay) / 2.0)
     coeffs = np.zeros((components,) + spec.shape, dtype=np.complex128)
     for comp in range(components):
-        mean = rng.standard_normal()
-        draws = rng.standard_normal(2 * len(modes))
-        zeta = (draws[0::2] + 1j * draws[1::2]) / np.sqrt(2.0)
-        comp_coeffs = coeffs[comp]
-        comp_coeffs[(0,) * spec.dim] = mean
-        vals = sigma * zeta
-        for m, v in zip(modes, vals):
-            comp_coeffs[m] = v
-            neg = tuple(-c for c in m)
-            comp_coeffs[neg] = np.conj(v)
+        coeffs[(comp,) + (0,) * spec.dim] = rng.standard_normal()
+        draws = rng.standard_normal(2 * len(pos))
+        vals = sigma * ((draws[0::2] + 1j * draws[1::2]) / np.sqrt(2.0))
+        coeffs[(comp, *pos.T)] = vals
+        coeffs[(comp, *(-pos).T)] = np.conj(vals)
     return Spectrum(spec, coeffs)
 
 
@@ -378,33 +393,18 @@ def refine(F: Spectrum, factor: int) -> GridFunction:
     half = spec.size // 2
     dest = np.arange(-half, half + 1) % fine.size
     out = np.zeros((F.num_components,) + fine.shape, dtype=np.complex128)
-    if spec.dim == 1:
-        out[:, dest] = ext
-    else:
-        out[np.ix_(np.arange(F.num_components), dest, dest)] = ext
+    out[np.ix_(np.arange(F.num_components), *[dest] * spec.dim)] = ext
     vals = np.fft.ifftn(out, axes=fine.spatial_axes()) * fine.num_points
     return GridFunction(fine, vals.real)
 
 
 def _restrict_axis(coeffs: np.ndarray, axis: int, coarse: int) -> np.ndarray:
     """Fold one fine FFT axis onto a coarse band, recombining +-N/2."""
-    fine = coeffs.shape[axis]
     half = coarse // 2
-    k = np.fft.fftfreq(fine, d=1.0 / fine).astype(int)
-    keep = np.where((k >= -half + 1) & (k <= half - 1))[0]
-    low = np.take(coeffs, keep, axis=axis)
-    klow = k[keep]
-    order = np.argsort(klow % coarse)
-    low = np.take(low, order, axis=axis)
-    plus = np.take(coeffs, np.where(k == half)[0], axis=axis)
-    minus = np.take(coeffs, np.where(k == -half)[0], axis=axis)
-    nyq = plus + minus
-    # low is ordered by slot id 0..coarse-1 skipping the Nyquist slot `half`.
-    pre = [np.s_[:]] * axis
-    out = np.concatenate(
-        [low[tuple(pre + [np.s_[:half]])], nyq, low[tuple(pre + [np.s_[half:]])]],
-        axis=axis,
-    )
+    k = np.fft.fftfreq(coarse, d=1.0 / coarse).astype(int)  # -N/2 at slot N/2
+    out = np.take(coeffs, k % coeffs.shape[axis], axis=axis)
+    if coeffs.shape[axis] > coarse:  # +N/2 has a fine slot of its own
+        out[(slice(None),) * axis + (half,)] += np.take(coeffs, half, axis=axis)
     return out
 
 

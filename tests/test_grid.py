@@ -9,7 +9,10 @@ from torusdiff.grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    _extend_axis,
+    _half_modes,
     _mirror_modes,
+    _restrict_axis,
     band_project,
     differentiate,
     differentiate_multi,
@@ -92,6 +95,31 @@ def test_mirror_modes_is_the_roll_of_the_flip(dim, size, components):
     for ax in spec.spatial_axes():
         want = np.roll(np.flip(want, axis=ax), 1, axis=ax)
     assert np.array_equal(_mirror_modes(spec, coeffs), want)
+
+
+def extend_axis_by_shift(coeffs, axis, size):
+    """The fftshift / delete / concatenate form _extend_axis replaced."""
+    ext = np.take(coeffs, np.fft.fftshift(np.arange(size)), axis=axis)
+    nyq = np.take(ext, [0], axis=axis) / 2.0
+    return np.concatenate([nyq, np.delete(ext, 0, axis=axis), nyq], axis=axis)
+
+
+@pytest.mark.parametrize("dim,size,components", [(1, 16, 1), (1, 64, 3), (2, 8, 1), (2, 16, 2)])
+def test_extend_axis_is_the_shift_split_form(dim, size, components):
+    """Re-indexing one axis to -N/2..N/2 and halving both Nyquist ends is
+    bit-identical to the shift-then-split form, on each axis and chained."""
+    spec = GridSpec(dim, size)
+    rng = np.random.default_rng(size * components)
+    shape = (components,) + spec.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fast, want = coeffs, coeffs
+    for ax in spec.spatial_axes():
+        assert np.array_equal(
+            _extend_axis(coeffs, ax, size), extend_axis_by_shift(coeffs, ax, size)
+        )
+        fast = _extend_axis(fast, ax, size)
+        want = extend_axis_by_shift(want, ax, size)
+    assert np.array_equal(fast, want)
 
 
 def test_spectrum_rejects_non_hermitian():
@@ -207,9 +235,20 @@ def dense_evaluate(F, points):
     return np.sum((ph[0] @ ext) * ph[1], axis=2).real
 
 
-@pytest.mark.parametrize("dim,size,components", [(1, 256, 1), (2, 64, 2)])
-@pytest.mark.parametrize("num_points", [0, 1, 513, 4097])
-def test_evaluate_precision_contract(dim, size, components, num_points):
+CONTRACT_CASES = [
+    (num_points, dim, size, components)
+    for dim, size, components, counts in [
+        (1, 256, 1, (0, 1, 513, 4097)),
+        (2, 64, 2, (0, 1, 513, 4097)),
+        (1, 1024, 3, (1, 513, 4097)),  # the longest recurrences: b = A = 23
+        (2, 128, 6, (1, 600, 4097)),  # a stacked displacement-plus-gradient width
+    ]
+    for num_points in counts
+]
+
+
+@pytest.mark.parametrize("num_points,dim,size,components", CONTRACT_CASES)
+def test_evaluate_precision_contract(num_points, dim, size, components):
     spec = GridSpec(dim, size)
     rng = np.random.default_rng(size + num_points)
     # white noise: every mode, Nyquist included, carries O(1) weight
@@ -240,6 +279,37 @@ def test_refine_then_project_is_identity():
     F = random_field(spec, 2.0, 23)
     back = band_project(refine(F, 2), spec)
     assert np.max(np.abs(back.coeffs - F.coeffs)) < 1e-13
+
+
+def restrict_axis_by_sort(coeffs, axis, coarse):
+    """The sort-and-concatenate form _restrict_axis replaced."""
+    fine = coeffs.shape[axis]
+    half = coarse // 2
+    k = np.fft.fftfreq(fine, d=1.0 / fine).astype(int)
+    keep = np.where((k >= -half + 1) & (k <= half - 1))[0]
+    low = np.take(coeffs, keep, axis=axis)
+    low = np.take(low, np.argsort(k[keep] % coarse), axis=axis)
+    plus = np.take(coeffs, np.where(k == half)[0], axis=axis)
+    minus = np.take(coeffs, np.where(k == -half)[0], axis=axis)
+    pre = [np.s_[:]] * axis
+    head, tail = low[tuple(pre + [np.s_[:half]])], low[tuple(pre + [np.s_[half:]])]
+    return np.concatenate([head, plus + minus, tail], axis=axis)
+
+
+@pytest.mark.parametrize("dim,size,factor", [(1, 16, 2), (1, 64, 3), (2, 8, 4), (2, 16, 2)])
+def test_band_project_matches_sort_form(dim, size, factor):
+    """Folding a fine axis onto the coarse band by one take is bit-identical
+    to the sort-and-concatenate form; at equal sizes it is the identity."""
+    fine = GridSpec(dim, size * factor)
+    rng = np.random.default_rng(size * factor)
+    shape = (2,) + fine.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for ax in fine.spatial_axes():
+        assert np.array_equal(
+            _restrict_axis(coeffs, ax, size), restrict_axis_by_sort(coeffs, ax, size)
+        )
+    f = GridFunction(fine, rng.standard_normal(shape))
+    assert np.array_equal(band_project(f, fine).coeffs, forward_transform(f).coeffs)
 
 
 def test_fourier_truncate():
@@ -283,6 +353,56 @@ def test_random_field_prefix_stable_across_sizes():
     for k1 in range(-7, 8):
         for k2 in range(-7, 8):
             assert c2.coeffs[0, k1, k2] == f2.coeffs[0, k1, k2]
+
+
+def half_modes_by_ring_loop(dim, size):
+    """The ring-by-ring enumeration _half_modes replaced, as tuples."""
+    if dim == 1:
+        return [(k,) for k in range(1, size // 2)]
+    modes = []
+    for ring in range(1, size // 2):
+        ring_modes = []
+        for k1 in range(-ring, ring + 1):
+            for k2 in range(-ring, ring + 1):
+                if max(abs(k1), abs(k2)) != ring:
+                    continue
+                if k1 > 0 or (k1 == 0 and k2 > 0):
+                    ring_modes.append((k1, k2))
+        modes.extend(sorted(ring_modes))
+    return modes
+
+
+def random_field_by_mode_loop(spec, s, seed, components):
+    """The per-mode scatter loop random_field replaced, default decay."""
+    decay = 0.6 if spec.dim == 1 else 1.1
+    rng = np.random.default_rng(seed)
+    modes = half_modes_by_ring_loop(spec.dim, spec.size)
+    ksq = np.array([sum(c * c for c in m) for m in modes], dtype=np.float64)
+    sigma = (1.0 + ksq) ** (-(s + decay) / 2.0)
+    coeffs = np.zeros((components,) + spec.shape, dtype=np.complex128)
+    for comp in range(components):
+        mean = rng.standard_normal()
+        draws = rng.standard_normal(2 * len(modes))
+        zeta = (draws[0::2] + 1j * draws[1::2]) / np.sqrt(2.0)
+        coeffs[comp][(0,) * spec.dim] = mean
+        for m, v in zip(modes, sigma * zeta):
+            coeffs[comp][m] = v
+            coeffs[comp][tuple(-c for c in m)] = np.conj(v)
+    return coeffs
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (1, 256), (2, 16), (2, 64)])
+@pytest.mark.parametrize("components", [1, 2])
+def test_random_field_matches_mode_loop(dim, size, components):
+    """The vectorized mode list and scatter keep the draw order:
+    bit-identical fields."""
+    spec = GridSpec(dim, size)
+    want_modes = half_modes_by_ring_loop(dim, size)
+    assert [tuple(m) for m in _half_modes(dim, size).tolist()] == want_modes
+    for seed in (0, 7, 123):
+        want = random_field_by_mode_loop(spec, 1.5, seed, components)
+        got = random_field(spec, 1.5, seed, components=components).coeffs
+        assert np.array_equal(got, want)
 
 
 def test_random_field_rejects_weak_decay():
