@@ -1,14 +1,14 @@
 """Geodesic flow and pointwise exponential map for chart metrics.
 
-A Metric supplies g(z) and its Christoffel symbols on an open chart of
-R^d (d = 1 or 2).  Geodesics solve the first-order system
+A Metric supplies g(z) and its geodesic spray on an open chart of R^d
+(d = 1 or 2).  Geodesics solve the first-order system
 
     ydot = v,   vdot^k = -Gamma^k_pq(y) v^p v^q,
 
-integrated with classical fourth-order Runge-Kutta.  The exponential map
-acts pointwise on a field of chart points and a field of velocities; it is
-diagonal in the points, so a field-level integration is exactly a bundle
-of independent pointwise geodesics.
+integrated with classical fourth-order Runge-Kutta on the state [y, v].
+The exponential map acts pointwise on a field of chart points and a field
+of velocities; it is diagonal in the points, so a field-level integration
+is exactly a bundle of independent pointwise geodesics.
 """
 
 from __future__ import annotations
@@ -35,17 +35,17 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class Metric:
-    """Chart metric: callables for g and its Christoffel symbols, plus a kind
-    tag for reports.
+    """Chart metric: callables for g and its geodesic spray, plus a kind tag
+    for reports.
 
-    metric(z): (..., d) -> (..., d, d);  christoffel(z): (..., d) float64 ->
-    (..., d, d, d), indexed Gamma[..., k, p, q].
+    metric(z): (..., d) -> (..., d, d);  acceleration(z, v): two float64
+    arrays of one shape (..., d) -> (..., d), the spray -Gamma(z)(v, v).
     """
 
     dim: int
     kind: str
     metric: Callable[[np.ndarray], np.ndarray]
-    christoffel: Callable[[np.ndarray], np.ndarray]
+    acceleration: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def flat_metric(dim: int) -> Metric:
@@ -55,10 +55,10 @@ def flat_metric(dim: int) -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.broadcast_to(eye, z.shape[:-1] + (dim, dim)).copy()
 
-    def gamma(z):
-        return np.zeros(z.shape[:-1] + (dim, dim, dim))
+    def acceleration(z, v):
+        return np.zeros(v.shape)
 
-    return Metric(dim, "flat", g, gamma)
+    return Metric(dim, "flat", g, acceleration)
 
 
 def exp_metric_1d() -> Metric:
@@ -70,10 +70,10 @@ def exp_metric_1d() -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.exp(2.0 * z)[..., None]
 
-    def gamma(z):
-        return np.ones(z.shape[:-1] + (1, 1, 1))
+    def acceleration(z, v):
+        return -(v * v)
 
-    return Metric(1, "exp1d", g, gamma)
+    return Metric(1, "exp1d", g, acceleration)
 
 
 def conformal_metric_2d(
@@ -82,58 +82,62 @@ def conformal_metric_2d(
 ) -> Metric:
     """g = e^{2 lam(z)} I on the plane; the bundled conformal factor is
     lam(z) = 0.2 sin(2 pi z1) cos(2 pi z2).  Its Christoffel symbols are
-    Gamma^k_pq = delta_kp d_q lam + delta_kq d_p lam - delta_pq d_k lam."""
+    Gamma^k_pq = delta_kp d_q lam + delta_kq d_p lam - delta_pq d_k lam, so
+    the spray is |v|^2 grad lam - 2 (grad lam . v) v."""
     if lam is None:
 
         def lam(z):
             return 0.2 * np.sin(2 * np.pi * z[..., 0]) * np.cos(2 * np.pi * z[..., 1])
 
-        def grad_lam(z):
+        def grad_parts(z):
             c = 0.2 * 2 * np.pi
-            sz, cz = np.sin(2 * np.pi * z), np.cos(2 * np.pi * z)
-            return np.stack([c * cz[..., 0] * cz[..., 1], -c * sz[..., 0] * sz[..., 1]], axis=-1)
+            w = 2 * np.pi * z
+            sz, cz = np.sin(w).T, np.cos(w).T
+            return c * cz[0] * cz[1], -c * sz[0] * sz[1]
 
     elif grad_lam is None:
         raise ValueError("custom lam needs grad_lam (or use custom_metric)")
+    else:
+
+        def grad_parts(z):
+            return grad_lam(z).T
 
     eye = np.eye(2)
-    # Gamma[..., k, p, q] = sum_m coef[k, p, q, m] d_m lam; every sum has one
-    # nonzero term, so the product is exact
-    coef = (
-        np.einsum("kp,qm->kpqm", eye, eye)
-        + np.einsum("kq,pm->kpqm", eye, eye)
-        - np.einsum("pq,km->kpqm", eye, eye)
-    ).reshape(8, 2).T
 
     def g(z):
         z = np.asarray(z, dtype=np.float64)
         factor = np.exp(2.0 * lam(z))
         return factor[..., None, None] * eye
 
-    def gamma(z):
-        d = grad_lam(z)
-        return (d @ coef).reshape(d.shape[:-1] + (2, 2, 2))
+    # components taken along .T are numpy scalars for a single point, where
+    # [..., k] would give 0-d arrays that cost a ufunc dispatch per operation
+    def acceleration(z, v):
+        d0, d1 = grad_parts(z)
+        v0, v1 = v.T[0], v.T[1]
+        speed2 = v0 * v0 + v1 * v1
+        twice_dot = 2.0 * (d0 * v0 + d1 * v1)
+        out = np.empty(v.shape)
+        out.T[0] = speed2 * d0 - twice_dot * v0
+        out.T[1] = speed2 * d1 - twice_dot * v1
+        return out
 
-    return Metric(2, "conformal2d", g, gamma)
+    return Metric(2, "conformal2d", g, acceleration)
 
 
 def custom_metric(
     dim: int, g: Callable[[np.ndarray], np.ndarray], fd_step: float = FD_STEP
 ) -> Metric:
-    """Wrap a plain metric callable: Christoffel symbols by the generic
-    formula on centred differences, with g checked positive at every call."""
+    """Wrap a plain metric callable: the spray contracts the generic Gamma
+    formula on centred differences of g, checked positive on every call."""
 
-    def gamma(z):
+    def acceleration(z, v):
         gz = g(z)
         _check_positive(gz, z, dim)
-        cols = []
-        for m in range(dim):
-            e = np.zeros(dim)
-            e[m] = fd_step
-            cols.append((g(z + e) - g(z - e)) / (2.0 * fd_step))
-        return _levi_civita(gz, np.stack(cols, axis=-1))
+        cols = [(g(z + e) - g(z - e)) / (2.0 * fd_step) for e in fd_step * np.eye(dim)]
+        gamma = _levi_civita(gz, np.stack(cols, axis=-1))
+        return -np.einsum("...kpq,...p,...q->...k", gamma, v, v)
 
-    return Metric(dim, "custom", g, gamma)
+    return Metric(dim, "custom", g, acceleration)
 
 
 def _check_positive(mvals: np.ndarray, z: np.ndarray, dim: int):
@@ -157,34 +161,35 @@ def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:
-    """Gamma[..., k, p, q] of the metric at the chart points z (..., d)."""
-    return m.christoffel(np.asarray(z, dtype=np.float64))
+    """Gamma[..., k, p, q] at the chart points z (..., d) by polarization of
+    the spray S(v) = -acceleration(z, v): Gamma(e_p, e_q) = (S(e_p + e_q) -
+    S(e_p) - S(e_q)) / 2, exact for p = q since S(2 e_p) = 4 S(e_p) exactly."""
+    eye = np.eye(m.dim)
+    z = np.asarray(z, dtype=np.float64)[..., None, None, :]
+    z, pairs = np.broadcast_arrays(z, eye[:, None] + eye)  # (..., p, q, d)
+    pairs = np.moveaxis(-m.acceleration(z, pairs), -1, -3)  # (..., k, p, q)
+    units = np.diagonal(pairs, axis1=-2, axis2=-1) / 4.0  # (..., k, p): S(e_p)
+    return 0.5 * (pairs - units[..., :, None] - units[..., None, :])
 
 
-def _acceleration(m: Metric, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    gamma = christoffel(m, y)
-    if m.dim == 1:
-        return -(gamma[..., 0, 0, 0] * v[..., 0] * v[..., 0])[..., None]
-    return -np.einsum("...kpq,...p,...q->...k", gamma, v, v)
+def _field(m: Metric, s: np.ndarray) -> np.ndarray:
+    """Right-hand side of the geodesic system on the state s = [y, v]."""
+    v = s[..., m.dim :]
+    return np.concatenate([v, m.acceleration(s[..., : m.dim], v)], axis=-1)
 
 
-def _rk4(m: Metric, y: np.ndarray, v: np.ndarray, h: float):
-    k1y, k1v = v, _acceleration(m, y, v)
-    k2y = v + 0.5 * h * k1v
-    k2v = _acceleration(m, y + 0.5 * h * k1y, k2y)
-    k3y = v + 0.5 * h * k2v
-    k3v = _acceleration(m, y + 0.5 * h * k2y, k3y)
-    k4y = v + h * k3v
-    k4v = _acceleration(m, y + h * k3y, k4y)
-    y_next = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    v_next = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return y_next, v_next
+def _rk4(m: Metric, s: np.ndarray, h: float) -> np.ndarray:
+    k1 = _field(m, s)
+    k2 = _field(m, s + 0.5 * h * k1)
+    k3 = _field(m, s + 0.5 * h * k2)
+    k4 = _field(m, s + h * k3)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _validate_time_steps(T: float, steps: int):
     if not 0.0 < abs(T) <= MAX_TIME:
         raise ValueError(f"integration time must satisfy 0 < |T| <= {MAX_TIME}")
-    if steps < MIN_STEPS or steps != int(steps):
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < MIN_STEPS:
         raise ValueError(f"steps must be an integer >= {MIN_STEPS}, got {steps}")
 
 
@@ -214,15 +219,15 @@ def geodesic_flow(
     v = np.atleast_1d(np.asarray(v0, dtype=np.float64))
     if y.shape != v.shape or y.ndim > 2 or y.shape[-1] != m.dim:
         raise ValueError(f"initial data must have shape ({m.dim},) or (P, {m.dim})")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
+        raise ValueError("initial data must be finite")
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
-    ys = np.empty((steps + 1,) + y.shape)
-    vs = np.empty((steps + 1,) + y.shape)
-    ys[0], vs[0] = y, v
+    states = np.empty((steps + 1,) + y.shape[:-1] + (2 * m.dim,))
+    states[0] = np.concatenate([y, v], axis=-1)
     for i in range(steps):
-        y, v = _rk4(m, y, v, h)
-        ys[i + 1], vs[i + 1] = y, v
-    return Trajectory(times, ys, vs)
+        states[i + 1] = _rk4(m, states[i], h)
+    return Trajectory(times, states[..., : m.dim], states[..., m.dim :])
 
 
 def exp_field(
@@ -254,10 +259,10 @@ def exp_field(
                 f"velocity cap exceeded: max metric speed {top:.4g} > {max_speed}"
             )
     h = t / steps
+    s = np.concatenate([y, v], axis=-1)
     for _ in range(steps):
-        y, v = _rk4(m, y, v, h)
-    d = m.dim
-    return GridFunction(f.spec, y.T.reshape((d,) + f.spec.shape))
+        s = _rk4(m, s, h)
+    return GridFunction(f.spec, s[:, : m.dim].T.reshape((m.dim,) + f.spec.shape))
 
 
 def scaling_defect(
@@ -298,6 +303,8 @@ def rk4_order_errors(
     for steps in steps_list:
         end = geodesic_flow(m, y0, v0, T=T, steps=steps).positions[-1]
         errors.append(float(np.linalg.norm(end - ref)))
+        if errors[-1] == 0.0:
+            raise ValueError(f"RK4 error at {steps} steps is exactly 0; no order to fit")
     hs = [T / s for s in steps_list]
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     return errors, slope

@@ -92,6 +92,114 @@ def test_custom_metric_matches_closed_form_derivative():
         assert np.max(np.abs(christoffel(conf, z) - christoffel(fd, z))) < 1e-6
 
 
+USER_CONFORMAL = conformal_metric_2d(_custom_lam, _custom_grad_lam)
+CUSTOM = custom_metric(2, USER_CONFORMAL.metric)
+
+
+def _conformal_gamma(grad_lam):
+    """Gamma^k_pq = delta_kp d_q lam + delta_kq d_p lam - delta_pq d_k lam."""
+
+    def gamma(z):
+        d, eye = grad_lam(z), np.eye(2)
+        return (
+            np.einsum("kp,...q->...kpq", eye, d)
+            + np.einsum("kq,...p->...kpq", eye, d)
+            - np.einsum("pq,...k->...kpq", eye, d)
+        )
+
+    return gamma
+
+
+def _fd_gamma(g):
+    """Generic formula on centred differences of g, as custom_metric does."""
+
+    def gamma(z):
+        cols = []
+        for m in range(z.shape[-1]):
+            e = np.zeros(z.shape[-1])
+            e[m] = geodesic.FD_STEP
+            cols.append((g(z + e) - g(z - e)) / (2.0 * geodesic.FD_STEP))
+        return geodesic._levi_civita(g(z), np.stack(cols, axis=-1))
+
+    return gamma
+
+
+# (metric, independent Gamma[..., k, p, q]) for every metric kind
+GAMMA_ORACLES = {
+    "flat1": (flat_metric(1), lambda z: np.zeros(z.shape[:-1] + (1, 1, 1))),
+    "flat2": (flat_metric(2), lambda z: np.zeros(z.shape[:-1] + (2, 2, 2))),
+    "exp1d": (exp_metric_1d(), lambda z: np.ones(z.shape[:-1] + (1, 1, 1))),
+    "conformal2d": (CONFORMAL, _conformal_gamma(_bundled_grad_lam)),
+    "conformal2d_user": (USER_CONFORMAL, _conformal_gamma(_custom_grad_lam)),
+    "custom": (CUSTOM, _fd_gamma(USER_CONFORMAL.metric)),
+}
+
+
+def _oracle_flow(gamma, y, v, T, steps):
+    """RK4 on separate (y, v) with the acceleration contracted from Gamma."""
+
+    def acc(y, v):
+        return -np.einsum("...kpq,...p,...q->...k", gamma(y), v, v)
+
+    h = T / steps
+    ys, vs = [y], [v]
+    for _ in range(steps):
+        k1y, k1v = v, acc(y, v)
+        k2y = v + 0.5 * h * k1v
+        k2v = acc(y + 0.5 * h * k1y, k2y)
+        k3y = v + 0.5 * h * k2v
+        k3v = acc(y + 0.5 * h * k2y, k3y)
+        k4y = v + h * k3v
+        k4v = acc(y + h * k3y, k4y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        ys.append(y)
+        vs.append(v)
+    return np.array(ys), np.array(vs)
+
+
+def _initial_data(dim, shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, size=shape + (dim,)), rng.uniform(-0.3, 0.3, size=shape + (dim,))
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_ORACLES))
+def test_acceleration_is_contracted_christoffel(name):
+    """Precision contract: each metric's spray equals -Gamma(v, v)."""
+    m, gamma = GAMMA_ORACLES[name]
+    z, v = _initial_data(m.dim, (4, 50), 11)
+    z = 7.0 * z - 3.0
+    want = -np.einsum("...kpq,...p,...q->...k", gamma(z), v, v)
+    got = m.acceleration(z, v)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_ORACLES))
+@pytest.mark.parametrize("shape", [(), (6,)])
+def test_flow_matches_christoffel_rk4(name, shape):
+    """Precision contract: RK4 on the state [y, v] with the closed-form
+    acceleration tracks RK4 on (y, v) with the Gamma contraction."""
+    m, gamma = GAMMA_ORACLES[name]
+    y0, v0 = _initial_data(m.dim, shape, 12)
+    traj = geodesic_flow(m, y0, v0, T=0.8, steps=64)
+    ys, vs = _oracle_flow(gamma, y0, v0, 0.8, 64)
+    assert traj.positions.shape == traj.velocities.shape == ys.shape
+    assert np.max(np.abs(traj.positions - ys)) <= 1e-15
+    assert np.max(np.abs(traj.velocities - vs)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_ORACLES))
+def test_exp_field_matches_christoffel_rk4(name):
+    m, gamma = GAMMA_ORACLES[name]
+    spec = GridSpec(1, 16)
+    y0, v0 = _initial_data(m.dim, (16,), 13)
+    f, Y = GridFunction(spec, y0.T), GridFunction(spec, v0.T)
+    out = exp_field(m, f, Y, t=0.8, steps=32)
+    ys, _ = _oracle_flow(gamma, y0, v0, 0.8, 32)
+    assert np.max(np.abs(out.flat_points_values() - ys[-1])) <= 1e-15
+
+
 def test_non_positive_definite_rejected():
     bad = custom_metric(2, lambda z: np.broadcast_to(np.array([[1.0, 2.0], [2.0, 1.0]]), z.shape[:-1] + (2, 2)))
     with pytest.raises(MetricError):
@@ -164,6 +272,31 @@ def test_time_and_step_validation():
         geodesic_flow(m, np.array([0.0]), np.array([1.0]), T=0.0)
     with pytest.raises(ValueError):
         geodesic_flow(m, np.array([0.0]), np.array([1.0]), steps=8)
+    for steps in (16.0, np.float64(32), True):
+        with pytest.raises(ValueError):
+            geodesic_flow(m, np.array([0.0]), np.array([1.0]), steps=steps)
+    spec = GridSpec(1, 16)
+    f = GridFunction(spec, spec.axis_coordinates()[None])
+    with pytest.raises(ValueError):
+        exp_field(m, f, f, steps=16.0)
+    traj = geodesic_flow(m, np.array([0.0]), np.array([1.0]), steps=np.int64(16))
+    assert traj.positions.shape == (17, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["y0", "v0"])
+def test_flow_rejects_non_finite_initial_data(bad, which):
+    data = {"y0": np.array([[0.1, 0.2], [0.3, 0.4]]), "v0": np.array([[0.1, 0.0], [0.0, 0.1]])}
+    data[which][1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        geodesic_flow(conformal_metric_2d(), data["y0"], data["v0"], steps=16)
+
+
+def test_rk4_order_rejects_exact_integration():
+    # a geodesic at rest is integrated exactly: every error is 0, so no slope
+    for m in (flat_metric(2), conformal_metric_2d()):
+        with pytest.raises(ValueError, match="exactly 0"):
+            rk4_order_errors(m, np.array([0.1, 0.2]), np.zeros(2))
 
 
 def test_rk4_fourth_order():

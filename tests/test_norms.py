@@ -194,6 +194,34 @@ def test_slobodeckij_refinement_stable():
     assert abs(vals[256] - vals[1024]) / vals[1024] < 0.02
 
 
+def _slobodeckij_roll_loop(f, lam):
+    """One np.roll pass per shift: the reference for the gathered blocks."""
+    n = f.spec.size
+    h = 1.0 / n
+    total = 0.0
+    for m in range(1, n):
+        dist = min(m * h, 1.0 - m * h)
+        diff2 = np.sum((f.values - np.roll(f.values, -m, axis=1)) ** 2)
+        total += diff2 / dist ** (1.0 + 2.0 * lam)
+    return float(np.sqrt(total * h * h))
+
+
+@pytest.mark.parametrize("n", [8, 256, 2048])
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+def test_slobodeckij_matches_roll_loop(n, lam):
+    """Precision contract: blocks of gathered shifts (several blocks at
+    n = 2048) sum each shift in the roll loop's order."""
+    spec = GridSpec(1, n)
+    for comps, seed in ((1, 3), (2, 4)):
+        f = inverse_transform(random_field(spec, 1.5, seed, components=comps))
+        want = _slobodeckij_roll_loop(f, lam)
+        got = slobodeckij_seminorm(f, lam)
+        if comps == 1:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-14 * want
+
+
 def test_slobodeckij_rejects_bad_lambda():
     spec = GridSpec(1, 32)
     f = GridFunction(spec, np.zeros((1, 32)))
