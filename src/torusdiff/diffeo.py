@@ -104,12 +104,8 @@ class Diffeo:
 def _displacement_gradient(u: Spectrum) -> Spectrum:
     """du as a stacked spectrum with n*n components, row-major (i, j)."""
     n = u.spec.dim
-    rows = []
-    for i in range(n):
-        comp = Spectrum(u.spec, u.coeffs[i : i + 1])
-        for j in range(n):
-            rows.append(differentiate(comp, j).coeffs[0])
-    return Spectrum(u.spec, np.stack(rows))
+    grads = np.stack([differentiate(u, j).coeffs for j in range(n)], axis=1)
+    return Spectrum(u.spec, grads.reshape((n * n,) + u.spec.shape))
 
 
 def _det_and_opnorm(grad_vals: np.ndarray, dim: int):
@@ -185,9 +181,7 @@ def make_diffeo(
     disp_values = inverse_transform(displacement).values
     jac_vals = inverse_transform(grad).values
     n = spec.dim
-    jac = jac_vals.reshape((n, n) + spec.shape).copy()
-    for i in range(n):
-        jac[i, i] += 1.0
+    jac = jac_vals.reshape((n, n) + spec.shape) + np.eye(n).reshape((n, n) + (1,) * n)
     det_grid, _ = _det_and_opnorm(jac_vals.reshape((n * n,) + spec.shape), n)
     return Diffeo(
         displacement,
@@ -235,8 +229,10 @@ def invert(
 ) -> Diffeo:
     """Pointwise Newton inversion of phi on its grid, re-certified.
 
-    Solves phi(x) = y for every grid point y with x0 = y, damping steps
-    (up to max_halvings per sweep) whenever the residual would grow.  The
+    Solves phi(x) = y for every grid point y with x0 = y, halving a point's
+    step (up to max_halvings times per sweep) while its residual would grow.
+    The first sweep reads u(y) and d phi(y) from phi's stored grid values;
+    later sweeps evaluate only at points whose last step was >= tol.  The
     final map id + v interpolates x - y and satisfies
     max |phi(phi^{-1}(y)) - y| < 10*tol, or InversionError is raised.
     Re-certification checks orientation and conditioning only; the result
@@ -248,29 +244,30 @@ def invert(
     y = spec.points().T  # (n, P)
     grad = _displacement_gradient(phi.displacement)
 
-    def residual(x):
-        return x + evaluate(phi.displacement, x.T) - y
-
     x = y.copy()
-    r = residual(x)
-    rnorm = np.sqrt(np.sum(r * r, axis=0))
-    for _ in range(max_iter):
-        jac_pts = evaluate(grad, x.T)
-        jac_pts[:: n + 1] += 1.0  # d phi = I + du
-        step = solve_jacobian(jac_pts, r)
-        x_new = x - step
-        r_new = residual(x_new)
-        rn_new = np.sqrt(np.sum(r_new * r_new, axis=0))
-        for _ in range(max_halvings):
-            bad = rn_new > np.maximum(rnorm, 10.0 * tol)
-            if not np.any(bad):
+    r = phi.disp_values.reshape(n, -1).copy()
+    rnorm = np.linalg.norm(r, axis=0)
+    jac_pts = phi.jacobian.reshape(n * n, -1)
+    active = np.arange(y.shape[1])  # points whose last step was >= tol
+    for sweep in range(max_iter):
+        if sweep:
+            jac_pts = evaluate(grad, x[:, active].T)
+            jac_pts[:: n + 1] += 1.0  # d phi = I + du
+        step = solve_jacobian(jac_pts, r[:, active])
+        start, limit = x[:, active], np.maximum(rnorm[active], 10.0 * tol)
+        todo = np.arange(len(active))  # steps whose residual may still grow
+        for halving in range(max_halvings + 1):
+            if halving:
+                step[:, todo] /= 2.0
+            at = active[todo]
+            x[:, at] = start[:, todo] - step[:, todo]
+            r[:, at] = x[:, at] + evaluate(phi.displacement, x[:, at].T) - y[:, at]
+            rnorm[at] = np.linalg.norm(r[:, at], axis=0)
+            todo = todo[rnorm[at] > limit[todo]]
+            if not len(todo):
                 break
-            step = np.where(bad[None], step / 2.0, step)
-            x_new = x - step
-            r_new = residual(x_new)
-            rn_new = np.sqrt(np.sum(r_new * r_new, axis=0))
-        x, r, rnorm = x_new, r_new, rn_new
-        if np.max(np.sqrt(np.sum(step * step, axis=0))) < tol:
+        active = active[np.linalg.norm(step, axis=0) >= tol]
+        if not len(active):
             break
     worst = float(np.max(rnorm))
     if worst >= 10.0 * tol:

@@ -225,8 +225,12 @@ def geodesic_flow(
     times = np.linspace(0.0, T, steps + 1)
     states = np.empty((steps + 1,) + y.shape[:-1] + (2 * m.dim,))
     states[0] = np.concatenate([y, v], axis=-1)
-    for i in range(steps):
-        states[i + 1] = _rk4(m, states[i], h)
+    with np.errstate(all="ignore"):  # non-finite states raise below instead
+        for i in range(steps):
+            states[i + 1] = _rk4(m, states[i], h)
+    lost = np.flatnonzero(~np.isfinite(states).reshape(steps + 1, -1).all(axis=1))
+    if len(lost):  # RK4 keeps a non-finite state non-finite: report the first
+        raise ValueError(f"geodesic state not finite at step {lost[0]} of {steps}")
     return Trajectory(times, states[..., : m.dim], states[..., m.dim :])
 
 
@@ -260,8 +264,12 @@ def exp_field(
             )
     h = t / steps
     s = np.concatenate([y, v], axis=-1)
-    for _ in range(steps):
-        s = _rk4(m, s, h)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            s = _rk4(m, s, h)
+    lost = ~np.isfinite(s).all(axis=1)
+    if lost.any():  # replay the lost points to name the first non-finite step
+        geodesic_flow(m, y[lost], v[lost], t, steps)
     return GridFunction(f.spec, s[:, : m.dim].T.reshape((m.dim,) + f.spec.shape))
 
 

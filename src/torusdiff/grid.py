@@ -166,9 +166,12 @@ def forward_transform(f: GridFunction) -> Spectrum:
 
 
 def inverse_transform(F: Spectrum) -> GridFunction:
-    axes = F.spec.spatial_axes()
-    vals = np.fft.ifftn(F.coeffs, axes=axes) * F.spec.num_points
-    return GridFunction(F.spec, vals.real)
+    """Grid values by irfftn of the k_last = 0..N/2 half: the real part of
+    the complex inverse FFT to 1e-14 * sum_k |fhat_k| on exactly Hermitian
+    spectra, plus at most sum_k |fhat_k - conj(fhat_{-k})| / 2 otherwise."""
+    spec, half = F.spec, F.coeffs[..., : F.spec.size // 2 + 1]
+    vals = np.fft.irfftn(half, s=spec.shape, axes=spec.spatial_axes())
+    return GridFunction(spec, vals * spec.num_points)
 
 
 def _extend_axis(coeffs: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -379,7 +382,8 @@ def random_field(
 
 
 def refine(F: Spectrum, factor: int) -> GridFunction:
-    """Trigonometric interpolation onto a grid refined by `factor`."""
+    """Trigonometric interpolation onto a grid refined by `factor`, by irfftn
+    of the k_last >= 0 half (precision contract as in inverse_transform)."""
     if factor < 1 or not isinstance(factor, (int, np.integer)):
         raise ValueError(f"factor must be a positive integer, got {factor}")
     if factor == 1:
@@ -389,13 +393,14 @@ def refine(F: Spectrum, factor: int) -> GridFunction:
     ext = F.coeffs
     for ax in spec.spatial_axes():
         ext = _extend_axis(ext, ax, spec.size)
-    # Scatter the -N/2..N/2 block into the fine FFT layout.
+    # Scatter the k_last >= 0 half of the -N/2..N/2 block into the fine one.
     half = spec.size // 2
     dest = np.arange(-half, half + 1) % fine.size
-    out = np.zeros((F.num_components,) + fine.shape, dtype=np.complex128)
-    out[np.ix_(np.arange(F.num_components), *[dest] * spec.dim)] = ext
-    vals = np.fft.ifftn(out, axes=fine.spatial_axes()) * fine.num_points
-    return GridFunction(fine, vals.real)
+    out = np.zeros(ext.shape[:1] + fine.shape[:-1] + (fine.size // 2 + 1,), complex)
+    idx = [dest] * (spec.dim - 1) + [dest[half:]]
+    out[np.ix_(range(F.num_components), *idx)] = ext[..., half:]
+    vals = np.fft.irfftn(out, s=fine.shape, axes=fine.spatial_axes())
+    return GridFunction(fine, vals * fine.num_points)
 
 
 def _restrict_axis(coeffs: np.ndarray, axis: int, coarse: int) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import torusdiff.diffeo as diffeo_module
 from torusdiff.diffeo import (
     DiffeoError,
     InversionError,
+    _displacement_gradient,
     chain_rule_residual,
     compose_diffeo,
     compose_function,
@@ -13,6 +17,7 @@ from torusdiff.diffeo import (
     inverse_derivative_residual,
     invert,
     make_diffeo,
+    solve_jacobian,
 )
 from torusdiff.grid import (
     GridFunction,
@@ -23,6 +28,7 @@ from torusdiff.grid import (
     inverse_transform,
     random_field,
 )
+from torusdiff.suites import random_certified_displacement, run_suite
 
 TWO_PI = 2.0 * np.pi
 
@@ -282,6 +288,145 @@ def test_invert_unreachable_tolerance():
     phi = make_diffeo(sine_disp(spec, 0.05))
     with pytest.raises(InversionError):
         invert(phi, tol=1e-300, max_iter=3)
+
+
+def all_points_newton(phi, tol=1e-12, max_iter=50, max_halvings=5):
+    """The Newton sweep invert replaced: every sweep evaluates the residual
+    and the Jacobian at every grid point, starting from x0 = y, and stops
+    when the largest step of the sweep falls below tol.  Returns x - y.
+    It calls evaluate through the diffeo module, so EvaluateLog counts it."""
+    n = phi.dim
+    y = phi.spec.points().T
+    grad = _displacement_gradient(phi.displacement)
+
+    def residual(x):
+        return x + diffeo_module.evaluate(phi.displacement, x.T) - y
+
+    x = y.copy()
+    r = residual(x)
+    rnorm = np.sqrt(np.sum(r * r, axis=0))
+    for _ in range(max_iter):
+        jac_pts = diffeo_module.evaluate(grad, x.T)
+        jac_pts[:: n + 1] += 1.0
+        step = solve_jacobian(jac_pts, r)
+        x_new = x - step
+        r_new = residual(x_new)
+        rn_new = np.sqrt(np.sum(r_new * r_new, axis=0))
+        for _ in range(max_halvings):
+            bad = rn_new > np.maximum(rnorm, 10.0 * tol)
+            if not np.any(bad):
+                break
+            step = np.where(bad[None], step / 2.0, step)
+            x_new = x - step
+            r_new = residual(x_new)
+            rn_new = np.sqrt(np.sum(r_new * r_new, axis=0))
+        x, r, rnorm = x_new, r_new, rn_new
+        if np.max(np.sqrt(np.sum(step * step, axis=0))) < tol:
+            break
+    assert np.max(rnorm) < 10.0 * tol
+    return (x - y).reshape((n,) + phi.spec.shape)
+
+
+class EvaluateLog:
+    """Stands in for diffeo.evaluate and records (spectrum, points, values)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        monkeypatch.setattr(diffeo_module, "evaluate", self)
+
+    def __call__(self, F, points):
+        vals = evaluate(F, points)
+        self.calls.append((F, np.array(points), vals.copy()))
+        return vals
+
+    def work(self):
+        """Points times components over every recorded call."""
+        return sum(F.num_components * len(pts) for F, pts, _ in self.calls)
+
+
+def group_t2_maps():
+    """The eight maps of the group suite on T^2 at N = 64 (its seeds 13-20)."""
+    spec = GridSpec(2, 64)
+    return [
+        make_diffeo(random_certified_displacement(spec, 13 + i, 4, 0.2))
+        for i in range(8)
+    ]
+
+
+def test_invert_matches_all_points_newton_in_1d():
+    spec = GridSpec(1, 256)
+    maps = [make_diffeo(sine_disp(spec, amp)) for amp in (0.05, 0.1, 0.15)]
+    maps += [make_diffeo(random_certified_displacement(spec, sd, 16, 0.5)) for sd in (3, 4)]
+    for phi in maps:
+        assert np.max(np.abs(invert(phi).disp_values - all_points_newton(phi))) <= 1e-14
+
+
+def test_invert_matches_all_points_newton_in_2d_with_less_evaluate_work(monkeypatch):
+    """On the group suite's T^2 maps, invert agrees with the all-points
+    Newton to 1e-14 while evaluating at >= 25% fewer points x components."""
+    log = EvaluateLog(monkeypatch)
+    new_work = old_work = 0
+    for phi in group_t2_maps():
+        log.calls.clear()
+        psi = invert(phi)
+        new_work += log.work()
+        log.calls.clear()
+        oracle = all_points_newton(phi)
+        old_work += log.work()
+        assert np.max(np.abs(psi.disp_values - oracle)) <= 1e-14
+    assert new_work <= 0.75 * old_work
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_invert_evaluates_only_unconverged_points(monkeypatch, dim):
+    """No evaluate before the first step (it reads phi's stored grid values),
+    then each sweep's Jacobian and residual calls cover exactly the points
+    whose last step was >= tol.  The steps are replayed from the logged
+    values with the same arithmetic invert uses."""
+    spec = GridSpec(dim, 32)
+    phi = make_diffeo(random_certified_displacement(spec, 11, 4, 0.3))
+    n, tol = dim, 1e-12
+    log = EvaluateLog(monkeypatch)
+    invert(phi, tol=tol)
+    y = spec.points().T
+    x, r = y.copy(), phi.disp_values.reshape(n, -1).copy()
+    jac = phi.jacobian.reshape(n * n, -1)
+    active = np.arange(spec.num_points)
+    calls = iter(log.calls)
+    shrank = False
+    while len(active):
+        step = solve_jacobian(jac, r[:, active])
+        F, pts, vals = next(calls)  # the residual of this sweep's step
+        assert F is phi.displacement
+        assert np.array_equal(pts, (x[:, active] - step).T)
+        x[:, active] = pts.T
+        r[:, active] = pts.T + vals - y[:, active]
+        active = active[np.sqrt(np.sum(step * step, axis=0)) >= tol]
+        shrank |= 0 < len(active) < spec.num_points
+        if len(active):
+            F, pts, jac = next(calls)  # the next sweep's Jacobian
+            assert F is not phi.displacement and F.num_components == n * n
+            assert np.array_equal(pts, x[:, active].T)
+            jac[:: n + 1] += 1.0
+    assert next(calls, None) is None  # no halving, no sweep after the last
+    assert shrank
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.05, 0.5), st.sampled_from([2, 4]))
+def test_invert_round_trip_2d_property(seed, amplitude, modes):
+    """A random certified T^2 map composed with its inverse leaves a
+    displacement at the Newton target: phi o invert(phi) = id to 1e-11."""
+    spec = GridSpec(2, 16)
+    phi = make_diffeo(random_certified_displacement(spec, seed, modes, amplitude))
+    psi = invert(phi)
+    assert np.max(np.abs(compose_diffeo(phi, psi).disp_values)) < 1e-11
+
+
+def test_group_trial_on_t2_at_n128_passes():
+    """N = 128 is the largest supported T^2 grid; one default trial passes."""
+    report = run_suite("group", {"dim": 2, "size": 128, "trials": 1})
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------

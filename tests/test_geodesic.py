@@ -1,5 +1,8 @@
 """Metrics, Christoffel symbols, RK4 geodesic flow, pointwise exponential."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -290,6 +293,30 @@ def test_flow_rejects_non_finite_initial_data(bad, which):
     data[which][1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         geodesic_flow(conformal_metric_2d(), data["y0"], data["v0"], steps=16)
+
+
+def test_geodesic_past_the_chart_fails_loudly():
+    """exp_metric_1d has a logarithmic barrier at v0 t = -1: from v0 = -2 the
+    geodesic leaves the chart at t = 1/2, and RK4 overflows at step 35 of 64.
+    Both entry points raise instead of returning -inf, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite at step 35 of 64"):
+            geodesic_flow(exp_metric_1d(), [0.0], [-2.0], 1.0, 64)
+        spec = GridSpec(1, 8)
+        v = np.full((1, 8), 0.1)
+        v[0, 5] = -2.0
+        f = GridFunction(spec, np.zeros((1, 8)))
+        with pytest.raises(ValueError, match="not finite at step 35 of 64"):
+            exp_field(exp_metric_1d(), f, GridFunction(spec, v), 1.0, 64)
+    # a batch names the first step at which any of its geodesics is lost
+    y0, v0 = np.zeros((3, 1)), np.array([[0.5], [-2.0], [-4.0]])
+    steps = []
+    for y, v in ((y0, v0), (y0[1], v0[1]), (y0[2], v0[2])):
+        with pytest.raises(ValueError) as err:
+            geodesic_flow(exp_metric_1d(), y, v, 1.0, 64)
+        steps.append(int(re.search(r"at step (\d+) of", str(err.value)).group(1)))
+    assert steps[0] == min(steps[1:]) < steps[1] == 35
 
 
 def test_rk4_order_rejects_exact_integration():

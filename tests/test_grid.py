@@ -281,6 +281,89 @@ def test_refine_then_project_is_identity():
     assert np.max(np.abs(back.coeffs - F.coeffs)) < 1e-13
 
 
+def complex_inverse_transform(F):
+    """The complex-ifftn form inverse_transform replaced: keep the real part."""
+    spec = F.spec
+    return (np.fft.ifftn(F.coeffs, axes=spec.spatial_axes()) * spec.num_points).real
+
+
+def complex_refine(F, factor):
+    """The complex-ifftn form refine replaced: scatter the whole -N/2..N/2
+    block (Nyquist split evenly) into the fine FFT layout."""
+    if factor == 1:
+        return complex_inverse_transform(F)
+    spec = F.spec
+    fine = spec.refined(factor)
+    ext = F.coeffs
+    for ax in spec.spatial_axes():
+        ext = _extend_axis(ext, ax, spec.size)
+    half = spec.size // 2
+    dest = np.arange(-half, half + 1) % fine.size
+    out = np.zeros((F.num_components,) + fine.shape, dtype=np.complex128)
+    out[np.ix_(np.arange(F.num_components), *[dest] * spec.dim)] = ext
+    return (np.fft.ifftn(out, axes=fine.spatial_axes()) * fine.num_points).real
+
+
+REAL_FFT_CASES = [
+    (dim, size, components)
+    for dim, sizes in [(1, (8, 16, 32, 64, 128, 256)), (2, (8, 16, 32, 64))]
+    for size in sizes
+    for components in (1, 2, 3, 4)
+]
+
+
+def white_noise_spectrum(spec, components, seed):
+    """Exactly Hermitian spectrum with O(1) weight on every mode, Nyquist
+    slots on every axis included."""
+    rng = np.random.default_rng(seed)
+    F = forward_transform(
+        GridFunction(spec, rng.standard_normal((components,) + spec.shape))
+    )
+    half = spec.size // 2
+    for ax in spec.spatial_axes():
+        assert np.all(np.take(F.coeffs, half, axis=ax) != 0)
+    return F
+
+
+@pytest.mark.parametrize("dim,size,components", REAL_FFT_CASES)
+def test_real_inverse_ffts_precision_contract(dim, size, components):
+    """irfftn on the k_last >= 0 half matches the real part of the complex
+    inverse FFT to 1e-14 * sum_k |fhat_k| per component."""
+    spec = GridSpec(dim, size)
+    F = white_noise_spectrum(spec, components, 1000 * dim + size + components)
+    bound = 1e-14 * np.sum(np.abs(F.coeffs), axis=spec.spatial_axes())
+    bound = bound.reshape((components,) + (1,) * dim)
+    for factor in (1, 2, 4):
+        fast = inverse_transform(F) if factor == 1 else refine(F, factor)
+        assert fast.spec == spec.refined(factor)
+        assert np.all(np.abs(fast.values - complex_refine(F, factor)) <= bound)
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (1, 256), (2, 16), (2, 64)])
+def test_real_inverse_ffts_on_a_user_spectrum_with_hermitian_defect(dim, size):
+    """A user-built Spectrum may carry a Hermitian defect
+    D_k = fhat_k - conj(fhat_{-k}) up to 1e-12 * max(max|fhat|, 1).  The
+    complex form keeps the real part (the Hermitian part of fhat); irfftn
+    reads only the k_last >= 0 half, which moves each value by at most
+    sum_k |D_k| / 2 on top of the 1e-14 * sum_k |fhat_k| roundoff."""
+    spec = GridSpec(dim, size)
+    H = white_noise_spectrum(spec, 2, 7 * size + dim)
+    rng = np.random.default_rng(size)
+    noise = rng.standard_normal(H.coeffs.shape) + 1j * rng.standard_normal(H.coeffs.shape)
+    defect_of = lambda c: c - np.conj(_mirror_modes(spec, c))
+    limit = 1e-12 * max(np.max(np.abs(H.coeffs)), 1.0)
+    c = H.coeffs + 0.45 * limit * noise / np.max(np.abs(defect_of(noise)))
+    worst = np.max(np.abs(defect_of(c)))
+    assert 0.4 * limit < worst <= limit  # just inside the constructor's tolerance
+    F = Spectrum(spec, c)
+    axes = spec.spatial_axes()
+    bound = 0.5 * np.sum(np.abs(defect_of(c)), axis=axes)
+    bound = (bound + 1e-14 * np.sum(np.abs(c), axis=axes)).reshape((2,) + (1,) * dim)
+    for factor in (1, 2, 4):
+        fast = inverse_transform(F) if factor == 1 else refine(F, factor)
+        assert np.all(np.abs(fast.values - complex_refine(F, factor)) <= bound)
+
+
 def restrict_axis_by_sort(coeffs, axis, coarse):
     """The sort-and-concatenate form _restrict_axis replaced."""
     fine = coeffs.shape[axis]
