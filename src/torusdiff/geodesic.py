@@ -5,7 +5,10 @@ A Metric supplies g(z) and its geodesic spray on an open chart of R^d
 
     ydot = v,   vdot^k = -Gamma^k_pq(y) v^p v^q,
 
-integrated with classical fourth-order Runge-Kutta on the state [y, v].
+integrated with classical fourth-order Runge-Kutta on the pair (y, v) in
+the chart coordinate: y itself in 1D, y1 + i y2 (complex128) in 2D.  Every
+bundled metric is conformal, g = e^{2 lam} I, so its spray is
+-conj(grad lam) v^2 with grad lam = lam_1 + i lam_2 (-lam' v^2 in 1D).
 The exponential map acts pointwise on a field of chart points and a field
 of velocities; it is diagonal in the points, so a field-level integration
 is exactly a bundle of independent pointwise geodesics.
@@ -33,19 +36,36 @@ class MetricError(ValueError):
         super().__init__(f"metric not positive definite near z = {self.witness}")
 
 
+def _chart(x, dim: int):
+    """Real points (..., d) as chart coordinates (...): the real coordinate
+    in 1D, y1 + i y2 in 2D (a view); one point gives a numpy scalar."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return (x if dim == 1 else x.view(np.complex128))[..., 0][()]
+
+
+def _real(y) -> np.ndarray:
+    """Chart coordinates (...) back to real points (..., d), as a view."""
+    return np.asarray(y)[..., None].view(np.float64)
+
+
 @dataclass(frozen=True)
 class Metric:
     """Chart metric: callables for g and its geodesic spray, plus a kind tag
     for reports.
 
-    metric(z): (..., d) -> (..., d, d);  acceleration(z, v): two float64
-    arrays of one shape (..., d) -> (..., d), the spray -Gamma(z)(v, v).
+    metric(z): (..., d) -> (..., d, d);  spray(y, v): chart coordinates of
+    one shape (numpy scalars or arrays; real in 1D, complex in 2D) -> the
+    same shape, the spray -Gamma(y)(v, v).
     """
 
     dim: int
     kind: str
     metric: Callable[[np.ndarray], np.ndarray]
-    acceleration: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    spray: Callable
+
+    def acceleration(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The spray on real arrays: two float64 (..., d) -> (..., d)."""
+        return _real(self.spray(_chart(z, self.dim), _chart(v, self.dim)))
 
 
 def flat_metric(dim: int) -> Metric:
@@ -55,10 +75,7 @@ def flat_metric(dim: int) -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.broadcast_to(eye, z.shape[:-1] + (dim, dim)).copy()
 
-    def acceleration(z, v):
-        return np.zeros(v.shape)
-
-    return Metric(dim, "flat", g, acceleration)
+    return Metric(dim, "flat", g, lambda y, v: np.zeros_like(v))
 
 
 def exp_metric_1d() -> Metric:
@@ -70,10 +87,7 @@ def exp_metric_1d() -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.exp(2.0 * z)[..., None]
 
-    def acceleration(z, v):
-        return -(v * v)
-
-    return Metric(1, "exp1d", g, acceleration)
+    return Metric(1, "exp1d", g, lambda y, v: -(v * v))
 
 
 def conformal_metric_2d(
@@ -83,24 +97,26 @@ def conformal_metric_2d(
     """g = e^{2 lam(z)} I on the plane; the bundled conformal factor is
     lam(z) = 0.2 sin(2 pi z1) cos(2 pi z2).  Its Christoffel symbols are
     Gamma^k_pq = delta_kp d_q lam + delta_kq d_p lam - delta_pq d_k lam, so
-    the spray is |v|^2 grad lam - 2 (grad lam . v) v."""
+    the spray is |v|^2 grad lam - 2 (grad lam . v) v = -conj(grad lam) v^2."""
     if lam is None:
 
         def lam(z):
             return 0.2 * np.sin(2 * np.pi * z[..., 0]) * np.cos(2 * np.pi * z[..., 1])
 
-        def grad_parts(z):
-            c = 0.2 * 2 * np.pi
-            w = 2 * np.pi * z
-            sz, cz = np.sin(w).T, np.cos(w).T
-            return c * cz[0] * cz[1], -c * sz[0] * sz[1]
+        # conj(grad lam) = 0.2 pi (1 - i)(cos(a + b) + i cos(a - b)), a, b =
+        # 2 pi y1, 2 pi y2: one cos of the real and imaginary parts of
+        # 2 pi (1 - i) y = (a + b) + i (b - a)
+        turn, scale = 2 * np.pi * (1 - 1j), 0.2 * np.pi * (1 - 1j)
+
+        def spray(y, v):
+            return -(scale * _chart(np.cos(_real(turn * y)), 2) * v) * v
 
     elif grad_lam is None:
         raise ValueError("custom lam needs grad_lam (or use custom_metric)")
     else:
 
-        def grad_parts(z):
-            return grad_lam(z).T
+        def spray(y, v):
+            return -(np.conj(_chart(grad_lam(_real(y)), 2)) * v) * v
 
     eye = np.eye(2)
 
@@ -109,19 +125,7 @@ def conformal_metric_2d(
         factor = np.exp(2.0 * lam(z))
         return factor[..., None, None] * eye
 
-    # components taken along .T are numpy scalars for a single point, where
-    # [..., k] would give 0-d arrays that cost a ufunc dispatch per operation
-    def acceleration(z, v):
-        d0, d1 = grad_parts(z)
-        v0, v1 = v.T[0], v.T[1]
-        speed2 = v0 * v0 + v1 * v1
-        twice_dot = 2.0 * (d0 * v0 + d1 * v1)
-        out = np.empty(v.shape)
-        out.T[0] = speed2 * d0 - twice_dot * v0
-        out.T[1] = speed2 * d1 - twice_dot * v1
-        return out
-
-    return Metric(2, "conformal2d", g, acceleration)
+    return Metric(2, "conformal2d", g, spray)
 
 
 def custom_metric(
@@ -130,14 +134,15 @@ def custom_metric(
     """Wrap a plain metric callable: the spray contracts the generic Gamma
     formula on centred differences of g, checked positive on every call."""
 
-    def acceleration(z, v):
+    def spray(y, v):
+        z, w = _real(y), _real(v)
         gz = g(z)
         _check_positive(gz, z, dim)
         cols = [(g(z + e) - g(z - e)) / (2.0 * fd_step) for e in fd_step * np.eye(dim)]
         gamma = _levi_civita(gz, np.stack(cols, axis=-1))
-        return -np.einsum("...kpq,...p,...q->...k", gamma, v, v)
+        return _chart(-np.einsum("...kpq,...p,...q->...k", gamma, w, w), dim)
 
-    return Metric(dim, "custom", g, acceleration)
+    return Metric(dim, "custom", g, spray)
 
 
 def _check_positive(mvals: np.ndarray, z: np.ndarray, dim: int):
@@ -172,18 +177,21 @@ def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:
     return 0.5 * (pairs - units[..., :, None] - units[..., None, :])
 
 
-def _field(m: Metric, s: np.ndarray) -> np.ndarray:
-    """Right-hand side of the geodesic system on the state s = [y, v]."""
-    v = s[..., m.dim :]
-    return np.concatenate([v, m.acceleration(s[..., : m.dim], v)], axis=-1)
-
-
-def _rk4(m: Metric, s: np.ndarray, h: float) -> np.ndarray:
-    k1 = _field(m, s)
-    k2 = _field(m, s + 0.5 * h * k1)
-    k3 = _field(m, s + 0.5 * h * k2)
-    k4 = _field(m, s + h * k3)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(spray: Callable, y, v, h: float):
+    """One classical RK4 step of ydot = v, vdot = spray(y, v) on chart
+    coordinates: numpy scalars for one geodesic, (P,) arrays for P."""
+    half, sixth = 0.5 * h, h / 6.0
+    a1 = spray(y, v)
+    v2 = v + half * a1
+    a2 = spray(y + half * v, v2)
+    v3 = v + half * a2
+    a3 = spray(y + half * v2, v3)
+    v4 = v + h * a3
+    a4 = spray(y + h * v3, v4)
+    return (
+        y + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
+        v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+    )
 
 
 def _validate_time_steps(T: float, steps: int):
@@ -222,16 +230,18 @@ def geodesic_flow(
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
         raise ValueError("initial data must be finite")
     h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
-    states = np.empty((steps + 1,) + y.shape[:-1] + (2 * m.dim,))
-    states[0] = np.concatenate([y, v], axis=-1)
+    y, v = _chart(y, m.dim), _chart(v, m.dim)
+    ys, vs = np.empty((2, steps + 1) + np.shape(y), y.dtype)
+    ys[0], vs[0] = y, v
     with np.errstate(all="ignore"):  # non-finite states raise below instead
         for i in range(steps):
-            states[i + 1] = _rk4(m, states[i], h)
-    lost = np.flatnonzero(~np.isfinite(states).reshape(steps + 1, -1).all(axis=1))
+            y, v = _rk4(m.spray, y, v, h)
+            ys[i + 1], vs[i + 1] = y, v
+    finite = np.isfinite(ys) & np.isfinite(vs)
+    lost = np.flatnonzero(~finite.reshape(steps + 1, -1).all(axis=1))
     if len(lost):  # RK4 keeps a non-finite state non-finite: report the first
         raise ValueError(f"geodesic state not finite at step {lost[0]} of {steps}")
-    return Trajectory(times, states[..., : m.dim], states[..., m.dim :])
+    return Trajectory(np.linspace(0.0, T, steps + 1), _real(ys), _real(vs))
 
 
 def exp_field(
@@ -263,14 +273,14 @@ def exp_field(
                 f"velocity cap exceeded: max metric speed {top:.4g} > {max_speed}"
             )
     h = t / steps
-    s = np.concatenate([y, v], axis=-1)
+    ye, ve = _chart(y, m.dim), _chart(v, m.dim)
     with np.errstate(all="ignore"):
         for _ in range(steps):
-            s = _rk4(m, s, h)
-    lost = ~np.isfinite(s).all(axis=1)
+            ye, ve = _rk4(m.spray, ye, ve, h)
+    lost = ~(np.isfinite(ye) & np.isfinite(ve))
     if lost.any():  # replay the lost points to name the first non-finite step
         geodesic_flow(m, y[lost], v[lost], t, steps)
-    return GridFunction(f.spec, s[:, : m.dim].T.reshape((m.dim,) + f.spec.shape))
+    return GridFunction(f.spec, _real(ye).T.reshape((m.dim,) + f.spec.shape))
 
 
 def scaling_defect(

@@ -390,15 +390,15 @@ def refine(F: Spectrum, factor: int) -> GridFunction:
         return inverse_transform(F)
     spec = F.spec
     fine = spec.refined(factor)
-    ext = F.coeffs
-    for ax in spec.spatial_axes():
-        ext = _extend_axis(ext, ax, spec.size)
-    # Scatter the k_last >= 0 half of the -N/2..N/2 block into the fine one.
     half = spec.size // 2
+    # The k_last = 0..N/2 half of the -N/2..N/2 block, scattered into the fine one.
+    ext = F.coeffs[..., : half + 1].copy()
+    ext[..., half] *= 0.5
+    for ax in spec.spatial_axes()[:-1]:
+        ext = _extend_axis(ext, ax, spec.size)
     dest = np.arange(-half, half + 1) % fine.size
     out = np.zeros(ext.shape[:1] + fine.shape[:-1] + (fine.size // 2 + 1,), complex)
-    idx = [dest] * (spec.dim - 1) + [dest[half:]]
-    out[np.ix_(range(F.num_components), *idx)] = ext[..., half:]
+    out[np.ix_(range(F.num_components), *[dest] * (spec.dim - 1), dest[half:])] = ext
     vals = np.fft.irfftn(out, s=fine.shape, axes=fine.spatial_axes())
     return GridFunction(fine, vals * fine.num_points)
 

@@ -178,6 +178,53 @@ def test_acceleration_is_contracted_christoffel(name):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _to_chart(x):
+    """Real (..., d) as the chart coordinate: x itself in 1D, x1 + i x2 in 2D;
+    one point gives a numpy scalar."""
+    return (x[..., 0] if x.shape[-1] == 1 else x[..., 0] + 1j * x[..., 1])[()]
+
+
+def _from_chart(y, dim):
+    y = np.asarray(y)
+    return y[..., None] if dim == 1 else np.stack([y.real, y.imag], axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_ORACLES))
+def test_spray_on_chart_scalars_and_arrays(name):
+    """Precision contract: the spray on chart coordinates, numpy scalars for
+    one point or (P,) arrays for P, is the real spray -Gamma(v, v)."""
+    m, gamma = GAMMA_ORACLES[name]
+    z, v = _initial_data(m.dim, (40,), 14)
+    z = 7.0 * z - 3.0
+    want = -np.einsum("...kpq,...p,...q->...k", gamma(z), v, v)
+    real = m.acceleration(z, v)
+    assert real.dtype == np.float64 and real.shape == z.shape
+    assert np.max(np.abs(real - want)) <= 1e-14
+    batch = m.spray(_to_chart(z), _to_chart(v))
+    assert batch.shape == (40,)
+    assert batch.dtype == (np.float64 if m.dim == 1 else np.complex128)
+    assert np.max(np.abs(_from_chart(batch, m.dim) - real)) <= 1e-14
+    for j in range(0, 40, 7):
+        y1, v1 = _to_chart(z[j]), _to_chart(v[j])
+        assert isinstance(y1, np.generic) and isinstance(v1, np.generic)
+        one = m.spray(y1, v1)
+        assert np.shape(one) == ()
+        assert np.max(np.abs(_from_chart(one, m.dim) - real[j])) <= 1e-14
+        assert np.array_equal(m.acceleration(z[j], v[j]), _from_chart(one, m.dim))
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_ORACLES))
+def test_single_point_flow_is_real(name):
+    """One geodesic returns real float64 (M+1, d) arrays, whatever the chart
+    coordinate RK4 runs on."""
+    m, _ = GAMMA_ORACLES[name]
+    y0, v0 = _initial_data(m.dim, (), 15)
+    traj = geodesic_flow(m, y0, v0, T=0.5, steps=16)
+    for arr in (traj.positions, traj.velocities):
+        assert arr.dtype == np.float64 and arr.shape == (17, m.dim)
+    assert np.array_equal(traj.positions[0], y0) and np.array_equal(traj.velocities[0], v0)
+
+
 @pytest.mark.parametrize("name", sorted(GAMMA_ORACLES))
 @pytest.mark.parametrize("shape", [(), (6,)])
 def test_flow_matches_christoffel_rk4(name, shape):

@@ -364,6 +364,35 @@ def test_real_inverse_ffts_on_a_user_spectrum_with_hermitian_defect(dim, size):
         assert np.all(np.abs(fast.values - complex_refine(F, factor)) <= bound)
 
 
+def refine_by_full_extension(F, factor):
+    """The refine form replaced: extend every axis to -N/2..N/2, then keep
+    the k_last >= 0 half of the block for irfftn."""
+    spec = F.spec
+    fine = spec.refined(factor)
+    ext = F.coeffs
+    for ax in spec.spatial_axes():
+        ext = _extend_axis(ext, ax, spec.size)
+    half = spec.size // 2
+    dest = np.arange(-half, half + 1) % fine.size
+    out = np.zeros(ext.shape[:1] + fine.shape[:-1] + (fine.size // 2 + 1,), complex)
+    idx = [dest] * (spec.dim - 1) + [dest[half:]]
+    out[np.ix_(range(F.num_components), *idx)] = ext[..., half:]
+    return np.fft.irfftn(out, s=fine.shape, axes=fine.spatial_axes()) * fine.num_points
+
+
+@pytest.mark.parametrize(
+    "dim,size,components",
+    [(1, 8, 1), (1, 64, 3), (1, 256, 2), (2, 8, 1), (2, 16, 2), (2, 64, 6)],
+)
+def test_refine_takes_only_the_k_last_half(dim, size, components):
+    """Taking k_last = 0..N/2 with the Nyquist slot halved gives the same
+    bits as extending the whole last axis and dropping its k < 0 half."""
+    spec = GridSpec(dim, size)
+    F = white_noise_spectrum(spec, components, 31 * size + dim)
+    for factor in (2, 3, 4):
+        assert np.array_equal(refine(F, factor).values, refine_by_full_extension(F, factor))
+
+
 def restrict_axis_by_sort(coeffs, axis, coarse):
     """The sort-and-concatenate form _restrict_axis replaced."""
     fine = coeffs.shape[axis]
@@ -516,6 +545,23 @@ def test_transform_round_trip_property(seed):
     f = GridFunction(spec, rng.standard_normal((1, 32)))
     back = inverse_transform(forward_transform(f))
     assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(1, 8), (1, 32), (1, 128), (2, 8), (2, 16), (2, 32)]),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+def test_evaluate_at_grid_points_is_the_inverse_transform(case, components, seed):
+    """At the grid points, evaluate reproduces inverse_transform to within
+    1e-13 * sum_k |fhat_k| per component, Nyquist content included."""
+    spec = GridSpec(*case)
+    F = white_noise_spectrum(spec, components, seed)
+    got = evaluate(F, spec.points()).reshape((components,) + spec.shape)
+    bound = 1e-13 * np.sum(np.abs(F.coeffs), axis=spec.spatial_axes())
+    bound = bound.reshape((components,) + (1,) * spec.dim)
+    assert np.all(np.abs(got - inverse_transform(F).values) <= bound)
 
 
 @settings(max_examples=25, deadline=None)
