@@ -46,7 +46,6 @@ from .grid import (
     refine,
 )
 from .norms import (
-    NormReport,
     cr_norm,
     hs_norm,
     hs_norm_derivative,

@@ -25,6 +25,7 @@ from .diffeo import Diffeo, compose_function, invert, make_diffeo, solve_jacobia
 from .grid import (
     GridFunction,
     Spectrum,
+    _trusted,
     differentiate_multi,
     evaluate,
     forward_transform,
@@ -127,9 +128,9 @@ def taylor_remainder(
     alphas = _exact_indices(spec.dim, r)
     factors = np.array([r / math.prod(math.factorial(a) for a in al) for al in alphas])
     factors = factors.reshape((-1,) + (1,) * (1 + spec.dim))  # over (component, *shape)
-    both = Spectrum(spec, np.concatenate([u.coeffs, du.coeffs]))
-    stack = Spectrum(  # rows (a, field, component)
-        spec, np.concatenate([differentiate_multi(both, al).coeffs for al in alphas])
+    both = _trusted(Spectrum, spec, np.concatenate([u.coeffs, du.coeffs]))
+    stack = _trusted(  # rows (a, field, component)
+        Spectrum, spec, np.concatenate([differentiate_multi(both, al).coeffs for al in alphas])
     )
     rows = (len(alphas), 2, u.num_components) + spec.shape
     base = compose_function(stack, phi).values.reshape(rows)[:, 0]

@@ -17,7 +17,6 @@ from pathlib import Path
 from .diffeo import DiffeoError, InversionError, compose_function, invert
 from .grid import forward_transform, inverse_transform
 from .norms import (
-    NormReport,
     cr_norm,
     hs_norm,
     hs_norm_derivative,
@@ -30,7 +29,7 @@ from .report import (
     load_field,
     spectrum_to_dict,
 )
-from .suites import SUITES, default_config, parse_config, run_all, run_suite
+from .suites import SUITES, default_config, normalize_params, parse_config, run_all, run_suite
 
 
 def _read_config(path: str | None) -> dict:
@@ -58,7 +57,7 @@ def _print_report_line(name: str, passed: bool, wall: float, stream=None):
 
 def cmd_verify(args) -> int:
     config = _read_config(args.config)
-    params = _suite_params(config, args.suite)
+    params = normalize_params(_suite_params(config, args.suite))  # so --grid wins over N
     if args.seed is not None:
         params["seed"] = args.seed
     if args.grid is not None:
@@ -106,27 +105,18 @@ def cmd_verify_all(args) -> int:
 
 def cmd_norm(args) -> int:
     F = load_field(args.infile)
+    s = args.s
     if args.kind == "sobolev":
-        rep = NormReport(hs_norm(F, args.s), "fourier", {"s": args.s})
-    elif args.kind == "derivative":
-        s = int(args.s)
-        rep = NormReport(
-            hs_norm_derivative(inverse_transform(F), s), "derivative", {"s": s}
-        )
+        value, method, params = hs_norm(F, s), "fourier", {"s": s}
+    elif args.kind == "derivative":  # this kind and cr raise on a non-integer s
+        value, method = hs_norm_derivative(inverse_transform(F), s), "derivative"
+        params = {"s": int(s)}
     elif args.kind == "cr":
-        r = int(args.s)
-        rep = NormReport(cr_norm(inverse_transform(F), r), "grid-sup", {"r": r})
+        value, method, params = cr_norm(inverse_transform(F), s), "grid-sup", {"r": int(s)}
     else:
-        rep = NormReport(
-            slobodeckij_seminorm(inverse_transform(F), args.s),
-            "double-sum",
-            {"lam": args.s},
-        )
-    payload = {
-        "norm_value": rep.norm_value,
-        "method": rep.method,
-        "params": rep.params,
-    }
+        value = slobodeckij_seminorm(inverse_transform(F), s)
+        method, params = "double-sum", {"lam": s}
+    payload = {"norm_value": value, "method": method, "params": params}
     print(dump_json(payload, args.out))
     return 0
 

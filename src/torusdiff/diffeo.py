@@ -26,6 +26,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    _trusted,
     differentiate,
     evaluate,
     forward_transform,
@@ -105,7 +106,7 @@ def _displacement_gradient(u: Spectrum) -> Spectrum:
     """du as a stacked spectrum with n*n components, row-major (i, j)."""
     n = u.spec.dim
     grads = np.stack([differentiate(u, j).coeffs for j in range(n)], axis=1)
-    return Spectrum(u.spec, grads.reshape((n * n,) + u.spec.shape))
+    return _trusted(Spectrum, u.spec, grads.reshape((n * n,) + u.spec.shape))
 
 
 def _det_and_opnorm(grad_vals: np.ndarray, dim: int):

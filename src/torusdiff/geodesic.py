@@ -25,15 +25,6 @@ from .grid import GridFunction
 
 MAX_TIME = 2.0
 MIN_STEPS = 16
-FD_STEP = 1e-6
-
-
-class MetricError(ValueError):
-    """The metric lost positive definiteness along a trajectory."""
-
-    def __init__(self, witness: np.ndarray):
-        self.witness = np.asarray(witness)
-        super().__init__(f"metric not positive definite near z = {self.witness}")
 
 
 def _chart(x, dim: int):
@@ -112,7 +103,7 @@ def conformal_metric_2d(
             return -(scale * _chart(np.cos(_real(turn * y)), 2) * v) * v
 
     elif grad_lam is None:
-        raise ValueError("custom lam needs grad_lam (or use custom_metric)")
+        raise ValueError("a custom lam needs its grad_lam")
     else:
 
         def spray(y, v):
@@ -126,43 +117,6 @@ def conformal_metric_2d(
         return factor[..., None, None] * eye
 
     return Metric(2, "conformal2d", g, spray)
-
-
-def custom_metric(
-    dim: int, g: Callable[[np.ndarray], np.ndarray], fd_step: float = FD_STEP
-) -> Metric:
-    """Wrap a plain metric callable: the spray contracts the generic Gamma
-    formula on centred differences of g, checked positive on every call."""
-
-    def spray(y, v):
-        z, w = _real(y), _real(v)
-        gz = g(z)
-        _check_positive(gz, z, dim)
-        cols = [(g(z + e) - g(z - e)) / (2.0 * fd_step) for e in fd_step * np.eye(dim)]
-        gamma = _levi_civita(gz, np.stack(cols, axis=-1))
-        return _chart(-np.einsum("...kpq,...p,...q->...k", gamma, w, w), dim)
-
-    return Metric(dim, "custom", g, spray)
-
-
-def _check_positive(mvals: np.ndarray, z: np.ndarray, dim: int):
-    """Sylvester criterion for d <= 2; raises MetricError with a witness."""
-    lead = mvals[..., 0, 0]
-    bad = lead <= 0.0
-    if dim == 2:
-        det = mvals[..., 0, 0] * mvals[..., 1, 1] - mvals[..., 0, 1] * mvals[..., 1, 0]
-        bad = bad | (det <= 0.0)
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        raise MetricError(z[tuple(idx)])
-
-
-def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[..., k, p, q] = g^{kl}/2 (d_q g_pl + d_p g_lq - d_l g_pq) from
-    g (..., d, d) and dg (..., p, q, m), the last axis the derivative direction."""
-    t1 = np.swapaxes(dg, -1, -2)  # (..., p, l, q) -> index (p, q, l)
-    t2 = np.swapaxes(dg, -3, -1)  # (..., l, q, p) -> index (p, q, l)
-    return 0.5 * np.einsum("...kl,...pql->...kpq", np.linalg.inv(g), t1 + t2 - dg)
 
 
 def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:

@@ -120,7 +120,8 @@ class Spectrum:
     """Fourier coefficients of a real field; coeffs shape (d, *shape).
 
     Construction enforces Hermitian symmetry fhat_{-k} = conj(fhat_k) up to
-    a small relative tolerance, so a Spectrum always represents a real field.
+    a small relative tolerance, so a Spectrum always represents a real field;
+    the package's producers, exactly Hermitian by construction, skip it (_trusted).
     """
 
     spec: GridSpec
@@ -140,6 +141,18 @@ class Spectrum:
     @property
     def num_components(self) -> int:
         return self.coeffs.shape[0]
+
+
+def _trusted(cls, spec: GridSpec, arr: np.ndarray):
+    """`cls(spec, arr)` (Spectrum or GridFunction) for an array an internal
+    producer just computed in the exact (d, *shape) layout and dtype: made
+    read-only in place, with no copy, finiteness scan or Hermitian re-check.
+    Public construction (codecs, user code) keeps every check."""
+    arr.flags.writeable = False
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, (spec, arr)):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _mirror_modes(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -162,7 +175,7 @@ def forward_transform(f: GridFunction) -> Spectrum:
     axes = f.spec.spatial_axes()
     coeffs = np.fft.fftn(f.values, axes=axes) / f.spec.num_points
     coeffs = 0.5 * (coeffs + np.conj(_mirror_modes(f.spec, coeffs)))
-    return Spectrum(f.spec, coeffs)
+    return _trusted(Spectrum, f.spec, coeffs)
 
 
 def inverse_transform(F: Spectrum) -> GridFunction:
@@ -171,7 +184,7 @@ def inverse_transform(F: Spectrum) -> GridFunction:
     spectra, plus at most sum_k |fhat_k - conj(fhat_{-k})| / 2 otherwise."""
     spec, half = F.spec, F.coeffs[..., : F.spec.size // 2 + 1]
     vals = np.fft.irfftn(half, s=spec.shape, axes=spec.spatial_axes())
-    return GridFunction(spec, vals * spec.num_points)
+    return _trusted(GridFunction, spec, vals * spec.num_points)
 
 
 def _extend_axis(coeffs: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -296,7 +309,7 @@ def differentiate(F: Spectrum, axis: int = 0) -> Spectrum:
     """Spectral partial derivative along a space axis (0-based)."""
     if not 0 <= axis < F.spec.dim:
         raise ValueError(f"axis {axis} out of range for dim {F.spec.dim}")
-    return Spectrum(F.spec, F.coeffs * _symbol(F.spec, axis))
+    return _trusted(Spectrum, F.spec, F.coeffs * _symbol(F.spec, axis))
 
 
 def differentiate_multi(F: Spectrum, alpha: tuple[int, ...]) -> Spectrum:
@@ -307,29 +320,15 @@ def differentiate_multi(F: Spectrum, alpha: tuple[int, ...]) -> Spectrum:
     for axis, order in enumerate(alpha):
         if order:
             out = out * _symbol(F.spec, axis) ** order
-    return Spectrum(F.spec, out)
+    return _trusted(Spectrum, F.spec, out)
 
 
-def smoothstep_cutoff(t: np.ndarray) -> np.ndarray:
-    """Quintic cutoff: 1 on t<=1, 0 on t>=2, C^2 monotone in between."""
-    t = np.asarray(t, dtype=np.float64)
-    u = np.clip(t - 1.0, 0.0, 1.0)
-    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-
-def fourier_truncate(F: Spectrum, cutoff: float, mode: str = "sharp") -> Spectrum:
-    """Keep modes with |k| <= cutoff (sharp) or taper with the quintic cutoff
-    chi(|k|/cutoff) supported on |k| <= 2*cutoff (smooth)."""
+def fourier_truncate(F: Spectrum, cutoff: float) -> Spectrum:
+    """Keep the modes with |k| <= cutoff and zero the rest."""
     if not 0 < cutoff <= F.spec.size // 2:
         raise ValueError(f"cutoff must lie in (0, N/2], got {cutoff}")
-    mag = np.sqrt(F.spec.wavevector_sq())
-    if mode == "sharp":
-        mask = (mag <= cutoff).astype(np.float64)
-    elif mode == "smooth":
-        mask = smoothstep_cutoff(mag / cutoff)
-    else:
-        raise ValueError(f"mode must be 'sharp' or 'smooth', got {mode!r}")
-    return Spectrum(F.spec, F.coeffs * mask[None])
+    mask = (np.sqrt(F.spec.wavevector_sq()) <= cutoff).astype(np.float64)
+    return _trusted(Spectrum, F.spec, F.coeffs * mask[None])
 
 
 @lru_cache(maxsize=32)
@@ -378,7 +377,7 @@ def random_field(
         vals = sigma * ((draws[0::2] + 1j * draws[1::2]) / np.sqrt(2.0))
         coeffs[(comp, *pos.T)] = vals
         coeffs[(comp, *(-pos).T)] = np.conj(vals)
-    return Spectrum(spec, coeffs)
+    return _trusted(Spectrum, spec, coeffs)
 
 
 def refine(F: Spectrum, factor: int) -> GridFunction:
@@ -400,7 +399,7 @@ def refine(F: Spectrum, factor: int) -> GridFunction:
     out = np.zeros(ext.shape[:1] + fine.shape[:-1] + (fine.size // 2 + 1,), complex)
     out[np.ix_(range(F.num_components), *[dest] * (spec.dim - 1), dest[half:])] = ext
     vals = np.fft.irfftn(out, s=fine.shape, axes=fine.spatial_axes())
-    return GridFunction(fine, vals * fine.num_points)
+    return _trusted(GridFunction, fine, vals * fine.num_points)
 
 
 def _restrict_axis(coeffs: np.ndarray, axis: int, coarse: int) -> np.ndarray:
@@ -420,4 +419,4 @@ def band_project(f: GridFunction, coarse: GridSpec) -> Spectrum:
     c = forward_transform(f).coeffs
     for ax in coarse.spatial_axes():
         c = _restrict_axis(c, ax, coarse.size)
-    return Spectrum(coarse, c)
+    return _trusted(Spectrum, coarse, c)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +26,6 @@ from .grid import (
     forward_transform,
     inverse_transform,
 )
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Value of one norm evaluation plus how it was computed."""
-
-    norm_value: float
-    method: str  # fourier | derivative_sum | slobodeckij | sup
-    params: dict
-
-    def __post_init__(self):
-        if self.norm_value < 0:
-            raise ValueError("norms are nonnegative")
 
 
 def sobolev_weight(spec: GridSpec, s: float) -> np.ndarray:

@@ -33,6 +33,18 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
+def _check_keys(payload: dict, keys, what: str, prefix: str = ""):
+    """Raise ValueError naming every unknown or missing key of `payload`, or
+    a schema_version other than SCHEMA_VERSION where `keys` holds one."""
+    unknown, missing = set(payload) - set(keys), set(keys) - set(payload)
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            listed = ", ".join(repr(prefix + k) for k in sorted(names))
+            raise ValueError(f"{problem} {what} key(s): {listed}")
+    if "schema_version" in keys and payload["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {payload['schema_version']!r}")
+
+
 def dump_json(payload: dict, path=None) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
     if path is not None:
@@ -78,15 +90,7 @@ class SuiteReport:
     def from_dict(cls, payload: dict) -> "SuiteReport":
         """Inverse of to_dict; a missing or unknown key, or a schema version
         other than SCHEMA_VERSION, raises ValueError."""
-        keys = set(cls("", {}).to_dict())
-        unknown = sorted(set(payload) - keys)
-        if unknown:
-            raise ValueError(f"unknown report key(s): {', '.join(map(repr, unknown))}")
-        missing = sorted(keys - set(payload))
-        if missing:
-            raise ValueError(f"missing report key(s): {', '.join(map(repr, missing))}")
-        if payload["schema_version"] != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {payload['schema_version']!r}")
+        _check_keys(payload, cls("", {}).to_dict(), "report")
         return cls(
             suite=payload["suite"],
             params=payload["params"],
@@ -96,6 +100,11 @@ class SuiteReport:
             wall_time_s=payload["wall_time_s"],
             schema_version=payload["schema_version"],
         )
+
+
+_CERTIFICATE_KEYS = (
+    "min_det", "max_grad", "min_det_floor", "contraction_certified", "mean_displacement"
+)
 
 
 def spectrum_to_dict(F: Spectrum) -> dict:
@@ -109,14 +118,25 @@ def spectrum_to_dict(F: Spectrum) -> dict:
     }
 
 
-def spectrum_from_dict(payload: dict) -> Spectrum:
-    if payload.get("kind") != "spectrum":
-        raise ValueError(f"expected a spectrum payload, got kind={payload.get('kind')!r}")
+def _stored_spectrum(payload: dict, kind: str, keys: tuple, coeffs: str) -> Spectrum:
+    """The Spectrum a `kind` payload holds as <coeffs>_re/_im, once its kind
+    and keys (the grid's too) check out; see _check_keys."""
+    if payload.get("kind") != kind:
+        raise ValueError(f"expected a {kind} payload, got kind={payload.get('kind')!r}")
+    _check_keys(payload, ("schema_version", "kind", "grid") + keys, kind)
+    _check_keys(payload["grid"], ("dim", "size"), kind, "grid.")
     spec = GridSpec(payload["grid"]["dim"], payload["grid"]["size"])
-    coeffs = np.asarray(payload["coeffs_re"], dtype=np.float64) + 1j * np.asarray(
-        payload["coeffs_im"], dtype=np.float64
-    )
-    return Spectrum(spec, coeffs)
+    parts = [np.asarray(payload[f"{coeffs}_{p}"], dtype=np.float64) for p in ("re", "im")]
+    return Spectrum(spec, parts[0] + 1j * parts[1])
+
+
+def spectrum_from_dict(payload: dict) -> Spectrum:
+    """Inverse of spectrum_to_dict; also rejects a `components` that the
+    stored coefficients do not have."""
+    F = _stored_spectrum(payload, "spectrum", ("components", "coeffs_re", "coeffs_im"), "coeffs")
+    if F.num_components != payload["components"]:
+        raise ValueError(f"components {payload['components']!r} != {F.num_components} stored")
+    return F
 
 
 def diffeo_to_dict(phi: Diffeo) -> dict:
@@ -137,21 +157,14 @@ def diffeo_to_dict(phi: Diffeo) -> dict:
 
 
 def diffeo_from_dict(payload: dict) -> Diffeo:
-    """Rebuild and re-certify under the stored floor and contraction flag,
-    both required; the stored min_det and max_grad are advisory only."""
-    if payload.get("kind") != "diffeo":
-        raise ValueError(f"expected a diffeo payload, got kind={payload.get('kind')!r}")
-    spec = GridSpec(payload["grid"]["dim"], payload["grid"]["size"])
-    coeffs = np.asarray(payload["displacement_re"], dtype=np.float64) + 1j * np.asarray(
-        payload["displacement_im"], dtype=np.float64
-    )
+    """Rebuild and re-certify under the stored floor and contraction flag; the
+    stored min_det and max_grad are advisory only.  Every key is required."""
+    top = {k: v for k, v in payload.items() if k != "certificate"}  # checked below
+    u = _stored_spectrum(top, "diffeo", ("displacement_re", "displacement_im"), "displacement")
     cert = payload.get("certificate", {})
-    missing = [k for k in ("min_det_floor", "contraction_certified") if k not in cert]
-    if missing:
-        names = ", ".join(f"'certificate.{k}'" for k in missing)
-        raise ValueError(f"missing diffeo key(s): {names}")
+    _check_keys(cert, _CERTIFICATE_KEYS, "diffeo", "certificate.")
     return make_diffeo(
-        Spectrum(spec, coeffs),
+        u,
         min_det_floor=cert["min_det_floor"],
         check_contraction=cert["contraction_certified"],
     )

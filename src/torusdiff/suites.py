@@ -81,7 +81,7 @@ def random_certified_displacement(
 ) -> Spectrum:
     """Band-limited random displacement scaled to sup|du|_op = amplitude."""
     w = random_field(spec, s, seed, components=spec.dim)
-    w = fourier_truncate(w, modes, mode="sharp")
+    w = fourier_truncate(w, modes)
     top = gradient_sup(w)
     if top == 0.0:
         raise ValueError("degenerate random displacement")
@@ -223,10 +223,10 @@ def run_quotient_rule(params: dict) -> SuiteReport:
     res_bundled = quotient_rule_residual(bundled, bundled, p["epsilon"])
 
     f_rand = inverse_transform(
-        fourier_truncate(random_field(spec, 2.0, p["seed"]), spec.size // 4, "sharp")
+        fourier_truncate(random_field(spec, 2.0, p["seed"]), spec.size // 4)
     )
     g_raw = inverse_transform(
-        fourier_truncate(random_field(spec, 2.0, p["seed"] + 1), spec.size // 4, "sharp")
+        fourier_truncate(random_field(spec, 2.0, p["seed"] + 1), spec.size // 4)
     )
     g_rand = GridFunction(spec, 0.3 * g_raw.values / np.max(np.abs(g_raw.values)))
     res_random = quotient_rule_residual(f_rand, g_rand, p["epsilon"])
@@ -280,7 +280,7 @@ def run_group(params: dict) -> SuiteReport:
         psi = invert(phi)
         id_defect = float(np.max(np.abs(compose_diffeo(phi, psi).disp_values)))
         f = fourier_truncate(
-            random_field(spec, 3.0, p["seed"] + 500 + i), f_modes, "sharp"
+            random_field(spec, 3.0, p["seed"] + 500 + i), f_modes
         )
         chain = chain_rule_residual(f, phi)
         inv_res = inverse_derivative_residual(phi, psi=psi)
@@ -357,7 +357,7 @@ def run_taylor_order(params: dict) -> SuiteReport:
     records = []
     for r in p["r_values"]:
         for seed in p["seeds"]:
-            du_dir = fourier_truncate(random_field(spec, p["s"] + r, seed), 8, "sharp")
+            du_dir = fourier_truncate(random_field(spec, p["s"] + r, seed), 8)
             du_dir = Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, p["s"] + r))
             dphi_raw = random_certified_displacement(spec, seed + 7, 8, 0.5)
             dphi_dir = inverse_transform(dphi_raw)
@@ -492,7 +492,7 @@ def run_geodesic(params: dict) -> SuiteReport:
     flat = geodesic.flat_metric(1)
     f1 = GridFunction(spec, x[None])
     y1 = inverse_transform(
-        fourier_truncate(random_field(spec, 3.0, p["seed"]), 8, "sharp")
+        fourier_truncate(random_field(spec, 3.0, p["seed"]), 8)
     )
     moved = geodesic.exp_field(flat, f1, y1, steps=p["steps"])
     flat_defect = float(np.max(np.abs(moved.values - (f1.values + y1.values))))
@@ -506,7 +506,7 @@ def run_geodesic(params: dict) -> SuiteReport:
     )
     vel_raw = inverse_transform(
         fourier_truncate(
-            random_field(spec, 3.0, p["seed"] + 4, components=2), 8, "sharp"
+            random_field(spec, 3.0, p["seed"] + 4, components=2), 8
         )
     )
     vel = GridFunction(spec, 0.3 * vel_raw.values / np.max(np.abs(vel_raw.values)))
@@ -582,7 +582,7 @@ def run_fractional(params: dict) -> SuiteReport:
     for i in range(p["pairs"]):
         f = inverse_transform(
             fourier_truncate(
-                random_field(spec, 2.0, p["seed"] + 2 * i), spec.size // 8, "sharp"
+                random_field(spec, 2.0, p["seed"] + 2 * i), spec.size // 8
             )
         )
         u = random_certified_displacement(spec, p["seed"] + 2 * i + 1, 8, 0.25)
@@ -626,9 +626,10 @@ _PARAM_ALIASES = {"N": "size", "grid": "size"}
 
 
 def normalize_params(raw: dict) -> dict:
-    out = {}
-    for key, value in raw.items():
-        out[_PARAM_ALIASES.get(key, key)] = value
+    out = {_PARAM_ALIASES.get(key, key): value for key, value in raw.items()}
+    if len(out) < len(raw):  # an alias and `size`, or two aliases, were both given
+        keys = [key for key in raw if _PARAM_ALIASES.get(key, key) == "size"]
+        raise ValueError(f"params {', '.join(map(repr, keys))} all name 'size'")
     return out
 
 
@@ -643,7 +644,7 @@ def parse_config(payload: dict) -> list[dict]:
         name = entry["suite"]
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        params = normalize_params({k: v for k, v in entry.items() if k != "suite"})
+        params = {k: v for k, v in entry.items() if k != "suite"}  # run_suite checks these
         entries.append({"suite": name, "params": params})
     return entries
 

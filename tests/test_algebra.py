@@ -148,8 +148,8 @@ def test_uset_requires_scalar():
 def test_divide_closure_round_trip():
     spec = GridSpec(1, 128)
     eps = 0.5
-    f = inverse_transform(fourier_truncate(random_field(spec, 2.0, 21), 32, "sharp"))
-    raw = inverse_transform(fourier_truncate(random_field(spec, 2.0, 22), 32, "sharp"))
+    f = inverse_transform(fourier_truncate(random_field(spec, 2.0, 21), 32))
+    raw = inverse_transform(fourier_truncate(random_field(spec, 2.0, 22), 32))
     g = GridFunction(spec, 0.3 * raw.values / np.max(np.abs(raw.values)))
     back = divide(multiply(f, one_plus(g)), g, eps)
     assert np.max(np.abs(back.values - f.values)) < 1e-8
@@ -182,8 +182,8 @@ def test_quotient_rule_bundled_pair():
 
 def test_quotient_rule_random_pair_within_scale():
     spec = GridSpec(1, 128)
-    f = inverse_transform(fourier_truncate(random_field(spec, 2.0, 21), 32, "sharp"))
-    raw = inverse_transform(fourier_truncate(random_field(spec, 2.0, 22), 32, "sharp"))
+    f = inverse_transform(fourier_truncate(random_field(spec, 2.0, 21), 32))
+    raw = inverse_transform(fourier_truncate(random_field(spec, 2.0, 22), 32))
     g = GridFunction(spec, 0.3 * raw.values / np.max(np.abs(raw.values)))
     res = quotient_rule_residual(f, g, 0.5)
     bound = (

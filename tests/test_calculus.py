@@ -133,7 +133,7 @@ def _per_node_remainders(u, phi, du, dphi, r):
 
 
 def _random_directions(spec, seed, r, eps):
-    du = fourier_truncate(random_field(spec, 2.0 + r, seed), 4, "sharp")
+    du = fourier_truncate(random_field(spec, 2.0 + r, seed), 4)
     du = Spectrum(spec, eps * du.coeffs / hs_norm(du, 2.0 + r))
     disp = random_certified_displacement(spec, seed + 7, 4, 0.5)
     return du, GridFunction(spec, eps * inverse_transform(disp).values)
@@ -148,7 +148,7 @@ def _remainder_cases(bundle, r):
     yield (u, phi) + _random_directions(spec, 101, r, 2.0**-2) + (False,)
     yield (u, phi) + _random_directions(spec, 103, r, 2.0**-8) + (True,)
     spec2 = GridSpec(2, 16)
-    u2 = fourier_truncate(random_field(spec2, 3.0, 5), 4, "sharp")
+    u2 = fourier_truncate(random_field(spec2, 3.0, 5), 4)
     phi2 = make_diffeo(random_certified_displacement(spec2, 6, 3, 0.3))
     yield (u2, phi2) + _random_directions(spec2, 7, r, 0.1) + (False,)
 
@@ -247,7 +247,7 @@ def test_inv_differential_identity_base():
 
 def test_right_translation_quotients_bounded(bundle):
     spec, u, phi, du, dphi = bundle
-    f = fourier_truncate(random_field(spec, 3.0, 77), 16, "sharp")
+    f = fourier_truncate(random_field(spec, 3.0, 77), 16)
     quots = calculus.right_translation_quotients(f, phi, 0.05, 10, 31, 2.0)
     assert len(quots) == 10
     assert all(q > 0 for q in quots)

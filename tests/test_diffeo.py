@@ -450,7 +450,7 @@ def test_chain_rule_random_field():
     phi = make_diffeo(sine_disp(spec, 0.1))
     from torusdiff.grid import fourier_truncate
 
-    f = fourier_truncate(random_field(spec, 3.0, 17), 32, "sharp")
+    f = fourier_truncate(random_field(spec, 3.0, 17), 32)
     from torusdiff.norms import hs_norm
 
     assert chain_rule_residual(f, phi) < 1e-6 * hs_norm(f, 2.0)

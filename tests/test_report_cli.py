@@ -4,11 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdiff.cli import main
 from torusdiff.diffeo import compose_function, invert, make_diffeo
-from torusdiff.grid import GridFunction, GridSpec, Spectrum, forward_transform, random_field
-from torusdiff.norms import hs_norm, hs_norm_derivative
+from torusdiff.grid import (
+    GridFunction,
+    GridSpec,
+    Spectrum,
+    forward_transform,
+    inverse_transform,
+    random_field,
+)
+from torusdiff.norms import cr_norm, hs_norm, hs_norm_derivative
 from torusdiff.report import (
     SuiteReport,
     diffeo_from_dict,
@@ -18,7 +27,12 @@ from torusdiff.report import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
-from torusdiff.suites import normalize_params, parse_config, run_suite
+from torusdiff.suites import (
+    normalize_params,
+    parse_config,
+    random_certified_displacement,
+    run_suite,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,6 +162,80 @@ def test_diffeo_codec_rejects_truncated_certificate(key):
         diffeo_from_dict(payload)
 
 
+def _malformed(payload, variant):
+    payload = json.loads(dump_json(payload))
+    if variant == "schema_version":
+        payload["schema_version"] = "9.9"
+    elif variant == "unknown_key":
+        payload["coefs_re"] = payload.get("coeffs_re", [])
+    elif variant == "components":
+        payload["components"] = 3
+    elif variant == "grid_key":
+        payload["grid"]["sise"] = 64
+    elif variant == "certificate_key":
+        payload["certificate"]["min_dett"] = 1.0
+    return payload
+
+
+@pytest.mark.parametrize(
+    "variant, match",
+    [
+        ("schema_version", "schema_version '9.9'"),
+        ("unknown_key", "unknown spectrum key.*'coefs_re'"),
+        ("components", "components 3 != 1"),
+        ("grid_key", "unknown spectrum key.*'grid.sise'"),
+    ],
+)
+def test_spectrum_codec_rejects_malformed(variant, match):
+    F = random_field(GridSpec(1, 64), 2.0, seed=3)
+    with pytest.raises(ValueError, match=match):
+        spectrum_from_dict(_malformed(spectrum_to_dict(F), variant))
+
+
+@pytest.mark.parametrize(
+    "variant, match",
+    [
+        ("schema_version", "schema_version '9.9'"),
+        ("unknown_key", "unknown diffeo key.*'coefs_re'"),
+        ("components", "unknown diffeo key.*'components'"),
+        ("grid_key", "unknown diffeo key.*'grid.sise'"),
+        ("certificate_key", "unknown diffeo key.*'certificate.min_dett'"),
+    ],
+)
+def test_diffeo_codec_rejects_malformed(variant, match):
+    payload = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    with pytest.raises(ValueError, match=match):
+        diffeo_from_dict(_malformed(payload, variant))
+
+
+grid_specs = st.one_of(
+    st.builds(GridSpec, st.just(1), st.sampled_from([8, 32, 64])),
+    st.builds(GridSpec, st.just(2), st.sampled_from([8, 16])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_specs, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_spectrum_codec_round_trip_property(spec, components, seed):
+    F = forward_transform(
+        GridFunction(spec, np.random.default_rng(seed).standard_normal((components,) + spec.shape))
+    )
+    G = spectrum_from_dict(json.loads(dump_json(spectrum_to_dict(F))))
+    assert G.spec == F.spec
+    assert np.array_equal(G.coeffs, F.coeffs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid_specs, st.floats(0.05, 0.6), st.integers(0, 2**20), st.booleans())
+def test_diffeo_codec_round_trip_property(spec, amplitude, seed, inverted):
+    phi = make_diffeo(random_certified_displacement(spec, seed, spec.size // 4, amplitude))
+    if inverted:
+        phi = invert(phi)
+    back = diffeo_from_dict(json.loads(dump_json(diffeo_to_dict(phi))))
+    assert np.array_equal(back.displacement.coeffs, phi.displacement.coeffs)
+    assert diffeo_to_dict(back) == diffeo_to_dict(phi)
+
+
 def test_serialized_inverse_reloads_without_certificate():
     # the inverse of a certified map typically fails the contraction bound;
     # its stored report must reload without tripping certification
@@ -165,6 +253,30 @@ def test_serialized_inverse_reloads_without_certificate():
 def test_param_aliases_normalize():
     assert normalize_params({"N": 64, "seed": 3}) == {"size": 64, "seed": 3}
     assert normalize_params({"grid": 32}) == {"size": 32}
+
+
+@pytest.mark.parametrize("raw", [{"size": 64, "N": 128}, {"N": 128, "size": 64}, {"grid": 8, "N": 8}])
+def test_param_alias_collision_is_an_error(raw):
+    first, second = raw
+    with pytest.raises(ValueError, match=f"{first!r}, {second!r}"):
+        normalize_params(raw)
+
+
+def test_verify_all_reports_an_alias_collision(tmp_path, capsys):
+    cfg = fast_config()
+    cfg["suites"][1]["N"] = 64
+    code = main(["verify-all", "--config", write_json(tmp_path / "cfg.json", cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "embedding: FAIL" in captured.out and "norm-equivalence: PASS" in captured.out
+    assert "error: params 'N', 'size' all name 'size'" in captured.err
+
+
+def test_cli_verify_grid_overrides_an_alias(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"trials": 3, "N": 64})
+    out = tmp_path / "rep.json"
+    assert main(["verify", "norm-equivalence", "--config", cfg, "--grid", "32", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["size"] == 32
 
 
 def test_parse_config_validation():
@@ -309,6 +421,26 @@ def test_cli_norm_matches_direct_value(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     want = hs_norm_derivative(GridFunction(spec, np.sin(TWO_PI * x)[None]), 2)
     assert payload["norm_value"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, s", [("derivative", "1.5"), ("cr", "1.7"), ("derivative", "-1")])
+def test_cli_norm_rejects_a_non_integer_order(tmp_path, capsys, kind, s):
+    F = random_field(GridSpec(1, 64), 2.0, seed=5)
+    field = write_json(tmp_path / "f.json", spectrum_to_dict(F))
+    assert main(["norm", field, "--s", s, "--kind", kind]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("kind, key, norm", [("derivative", "s", hs_norm_derivative), ("cr", "r", cr_norm)])
+def test_cli_norm_integral_order_output(tmp_path, capsys, kind, key, norm):
+    F = random_field(GridSpec(1, 64), 2.0, seed=5)
+    field = write_json(tmp_path / "f.json", spectrum_to_dict(F))
+    assert main(["norm", field, "--s", "2", "--kind", kind]) == 0
+    method = "derivative" if kind == "derivative" else "grid-sup"
+    value = norm(inverse_transform(F), 2)
+    want = dump_json({"norm_value": value, "method": method, "params": {key: 2}})
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_cli_compose_round_trip(tmp_path):
