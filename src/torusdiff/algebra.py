@@ -42,18 +42,22 @@ def _component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise ValueError(f"component mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _dealiased(f: GridFunction, g: GridFunction, op) -> GridFunction:
+    """op(f, g) pointwise on the product grid, projected back onto the common band."""
+    if f.spec != g.spec:
+        raise ValueError("operands live on different grids")
+    ff = refine(forward_transform(f), UNIT_REFINE)
+    gg = refine(forward_transform(g), UNIT_REFINE)
+    return inverse_transform(band_project(GridFunction(ff.spec, op(ff.values, gg.values)), f.spec))
+
+
 def multiply(f: GridFunction, g: GridFunction) -> GridFunction:
     """Dealiased pointwise product, returned on the common grid.
 
     Scalar fields broadcast against multi-component ones; otherwise the
     component counts must match.
     """
-    if f.spec != g.spec:
-        raise ValueError("operands live on different grids")
-    ff = refine(forward_transform(f), UNIT_REFINE)
-    gg = refine(forward_transform(g), UNIT_REFINE)
-    prod = GridFunction(ff.spec, _component_product(ff.values, gg.values))
-    return inverse_transform(band_project(prod, f.spec))
+    return _dealiased(f, g, _component_product)
 
 
 def uset_membership(
@@ -81,15 +85,10 @@ class StabilityError(ValueError):
 
 def divide(f: GridFunction, g: GridFunction, epsilon: float) -> GridFunction:
     """f / (1 + g) on the dealiased product grid; g must sit in U_eps."""
-    if f.spec != g.spec:
-        raise ValueError("operands live on different grids")
     cert = uset_membership(g, epsilon)
     if not cert.member:
         raise StabilityError(cert)
-    ff = refine(forward_transform(f), UNIT_REFINE)
-    gg = refine(forward_transform(g), UNIT_REFINE)
-    quot = GridFunction(ff.spec, _component_product(ff.values, 1.0 / (1.0 + gg.values)))
-    return inverse_transform(band_project(quot, f.spec))
+    return _dealiased(f, g, lambda a, b: _component_product(a, 1.0 / (1.0 + b)))
 
 
 def one_plus(g: GridFunction) -> GridFunction:

@@ -16,7 +16,6 @@ translation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .grid import (
     inverse_transform,
     random_field,
 )
-from .norms import hs_norm
+from .norms import hs_norm, multi_indices
 
 GL_NODES = 16
 
@@ -43,9 +42,7 @@ def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    if dim == 1:
-        return [(order,)]
-    return [(a, order - a) for a in range(order + 1)]
+    return [alpha for alpha in multi_indices(dim, order) if sum(alpha) == order]
 
 
 def _monomial(dphi: GridFunction, alpha: tuple[int, ...]) -> GridFunction:
@@ -71,8 +68,8 @@ def path_diffeo(phi: Diffeo, dphi: GridFunction, t: float) -> Diffeo:
 def eta_k(
     u: Spectrum,
     phi: Diffeo,
-    du: Spectrum | None,
-    dphi: GridFunction | None,
+    du: Spectrum,
+    dphi: GridFunction,
     k: int,
 ) -> GridFunction:
     """k-th Taylor coefficient of the composition map at (u, phi).
@@ -80,8 +77,7 @@ def eta_k(
     eta_k = sum_{|a|=k} (k!/a!) (d^a u o phi) dphi^a
           + sum_{|a|=k-1} (k!/a!) (d^a du o phi) dphi^a.
 
-    Either increment may be None (treated as zero).  Returns the k-th
-    derivative as a field; divide by k! for the Taylor term.
+    Returns the k-th derivative as a field; divide by k! for the Taylor term.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -95,12 +91,11 @@ def eta_k(
             comp = compose_function(differentiate_multi(F, alpha), phi)
             if order == 0:
                 acc[...] += coeff * comp.values
-            elif dphi is not None:
+            else:
                 acc[...] += coeff * multiply(comp, _monomial(dphi, alpha)).values
 
     accumulate(u, k)
-    if du is not None and k >= 1:
-        accumulate(du, k - 1)
+    accumulate(du, k - 1)
     return GridFunction(spec, acc)
 
 
@@ -172,28 +167,6 @@ def taylor_defect(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True)
-class TaylorProbe:
-    """Remainder norms along a scale ladder and the fitted decay order."""
-
-    order: int
-    scales: tuple[float, ...]
-    norms: tuple[float, ...]
-    slope: float | None
-    monotone: bool
-    degenerate: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "scales": list(self.scales),
-            "norms": list(self.norms),
-            "slope": self.slope,
-            "monotone": self.monotone,
-            "degenerate": self.degenerate,
-        }
-
-
 DEFAULT_SCALES = tuple(2.0**-m for m in range(1, 9))
 
 
@@ -205,12 +178,13 @@ def remainder_order_probe(
     r: int,
     s: float = 2.0,
     scales: tuple[float, ...] = DEFAULT_SCALES,
-) -> TaylorProbe:
+) -> dict:
     """Fit the decay order of ||R1 + R2||_s along a geometric scale ladder.
 
     For directions scaled by eps the combined remainder should vanish like
     eps^{r+1}; the probe reports the fitted log-log slope.  Identically
-    zero directions yield a degenerate (vacuously passing) probe.
+    zero directions yield a degenerate (vacuously passing) probe.  Returns
+    the record keys order, scales, norms, slope, monotone and degenerate.
     """
     norms = []
     for eps in scales:
@@ -218,12 +192,11 @@ def remainder_order_probe(
         du = Spectrum(phi.spec, eps * du_dir.coeffs)
         rem = taylor_remainder(u, phi, du, dphi, r)
         norms.append(hs_norm(forward_transform(rem), s))
-    norms_t = tuple(float(v) for v in norms)
-    if max(norms_t) < 1e-14:
-        return TaylorProbe(r, scales, norms_t, None, True, True)
-    monotone = all(a > b for a, b in zip(norms_t, norms_t[1:]))
-    slope = float(np.polyfit(np.log(scales), np.log(norms_t), 1)[0])
-    return TaylorProbe(r, scales, norms_t, slope, monotone, False)
+    degenerate = max(norms) < 1e-14
+    slope = None if degenerate else float(np.polyfit(np.log(scales), np.log(norms), 1)[0])
+    monotone = degenerate or all(a > b for a, b in zip(norms, norms[1:]))
+    return {"order": r, "scales": list(scales), "norms": norms, "slope": slope,
+            "monotone": monotone, "degenerate": degenerate}
 
 
 def inv_differential(phi: Diffeo, dphi: GridFunction, psi: Diffeo | None = None) -> GridFunction:

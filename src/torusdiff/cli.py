@@ -40,19 +40,15 @@ def _read_config(path: str | None) -> dict:
 
 
 def _suite_params(config: dict, suite: str) -> dict:
-    """Pull the params for one suite out of a config payload."""
-    if "suites" in config:
-        for entry in config["suites"]:
-            if entry.get("suite") == suite:
-                return {k: v for k, v in entry.items() if k != "suite"}
-        return {}
+    """Params for `suite`: its entry in a config's `suites` list, or a flat object."""
+    if not isinstance(config, dict) or "suites" in config:
+        entries = parse_config(config)
+        return next((e["params"] for e in entries if e["suite"] == suite), {})
     return dict(config)
 
 
-def _print_report_line(name: str, passed: bool, wall: float, stream=None):
-    verdict = "PASS" if passed else "FAIL"
-    # resolve the stream late so redirected stdout is honored
-    print(f"{name}: {verdict} ({wall:.2f}s)", file=stream or sys.stdout)
+def _print_report_line(name: str, passed: bool, wall: float):
+    print(f"{name}: {'PASS' if passed else 'FAIL'} ({wall:.2f}s)")
 
 
 def cmd_verify(args) -> int:
@@ -85,12 +81,9 @@ def cmd_verify_all(args) -> int:
     reports, summary = run_all(config)
     if "warning" in summary:
         print(f"warning: {summary['warning']}", file=sys.stderr)
+    walls = {rep.suite: rep.wall_time_s for rep in reports}
     for entry in summary["suites"]:
-        wall = 0.0
-        for rep in reports:
-            if rep.suite == entry["suite"]:
-                wall = rep.wall_time_s
-        _print_report_line(entry["suite"], entry["pass"], wall)
+        _print_report_line(entry["suite"], entry["pass"], walls.get(entry["suite"], 0.0))
         if "error" in entry:
             print(f"  error: {entry['error']}", file=sys.stderr)
     print(f"overall: {'PASS' if summary['pass'] else 'FAIL'}")

@@ -67,7 +67,6 @@ class Diffeo:
     displacement: Spectrum
     disp_values: np.ndarray  # (n, *shape)
     jacobian: np.ndarray  # d phi = I + du at grid points, (n, n, *shape)
-    det_values: np.ndarray  # det(d phi) at grid points, (*shape)
     min_det: float  # over the refined certificate grid
     max_grad: float  # sup of |du|_op over the refined grid
     min_det_floor: float
@@ -103,10 +102,10 @@ class Diffeo:
 
 
 def _displacement_gradient(u: Spectrum) -> Spectrum:
-    """du as a stacked spectrum with n*n components, row-major (i, j)."""
+    """Gradient of a d-component field stacked as d*n components, row-major (c, j)."""
     n = u.spec.dim
     grads = np.stack([differentiate(u, j).coeffs for j in range(n)], axis=1)
-    return _trusted(Spectrum, u.spec, grads.reshape((n * n,) + u.spec.shape))
+    return _trusted(Spectrum, u.spec, grads.reshape((-1,) + u.spec.shape))
 
 
 def _det_and_opnorm(grad_vals: np.ndarray, dim: int):
@@ -179,16 +178,12 @@ def make_diffeo(
     if min_det < min_det_floor:
         raise DiffeoError("conditioning", fine_pts[idx], min_det)
 
-    disp_values = inverse_transform(displacement).values
-    jac_vals = inverse_transform(grad).values
     n = spec.dim
-    jac = jac_vals.reshape((n, n) + spec.shape) + np.eye(n).reshape((n, n) + (1,) * n)
-    det_grid, _ = _det_and_opnorm(jac_vals.reshape((n * n,) + spec.shape), n)
+    jac = inverse_transform(grad).values.reshape((n, n) + spec.shape)
     return Diffeo(
         displacement,
-        disp_values,
-        jac,
-        det_grid,
+        inverse_transform(displacement).values,
+        jac + np.eye(n).reshape((n, n) + (1,) * n),
         min_det,
         max_grad,
         min_det_floor,
@@ -289,21 +284,10 @@ def chain_rule_residual(f: Spectrum, phi: Diffeo) -> float:
     pointwise, so the defect measures pure aliasing.
     """
     comp = forward_transform(compose_function(f, phi))
-    d = f.num_components
-    n = phi.dim
-    stacked = Spectrum(
-        f.spec,
-        np.concatenate(
-            [
-                differentiate(Spectrum(f.spec, f.coeffs[c : c + 1]), j).coeffs
-                for c in range(d)
-                for j in range(n)
-            ]
-        ),
-    )
-    df_at_phi = evaluate(stacked, phi.point_images()).reshape((d, n) + phi.spec.shape)
+    df = evaluate(_displacement_gradient(f), phi.point_images())
+    df_at_phi = df.reshape((f.num_components, phi.dim) + phi.spec.shape)
     worst = 0.0
-    for axis in range(n):
+    for axis in range(phi.dim):
         lhs = inverse_transform(differentiate(comp, axis)).values
         rhs = np.einsum("cj...,j...->c...", df_at_phi, phi.jacobian[:, axis])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))

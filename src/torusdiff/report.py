@@ -33,9 +33,17 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
+def _object(value, what: str) -> dict:
+    """`value` if it is a JSON object; otherwise ValueError naming `what`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _check_keys(payload: dict, keys, what: str, prefix: str = ""):
-    """Raise ValueError naming every unknown or missing key of `payload`, or
-    a schema_version other than SCHEMA_VERSION where `keys` holds one."""
+    """Raise ValueError for a non-object `payload`, naming every unknown or missing
+    key, or a schema_version other than SCHEMA_VERSION where `keys` holds one."""
+    _object(payload, f"{what} {prefix[:-1]!r}" if prefix else f"{what} payload")
     unknown, missing = set(payload) - set(keys), set(keys) - set(payload)
     for problem, names in (("unknown", unknown), ("missing", missing)):
         if names:
@@ -121,13 +129,14 @@ def spectrum_to_dict(F: Spectrum) -> dict:
 def _stored_spectrum(payload: dict, kind: str, keys: tuple, coeffs: str) -> Spectrum:
     """The Spectrum a `kind` payload holds as <coeffs>_re/_im, once its kind
     and keys (the grid's too) check out; see _check_keys."""
-    if payload.get("kind") != kind:
+    if _object(payload, f"{kind} payload").get("kind") != kind:
         raise ValueError(f"expected a {kind} payload, got kind={payload.get('kind')!r}")
     _check_keys(payload, ("schema_version", "kind", "grid") + keys, kind)
     _check_keys(payload["grid"], ("dim", "size"), kind, "grid.")
     spec = GridSpec(payload["grid"]["dim"], payload["grid"]["size"])
     parts = [np.asarray(payload[f"{coeffs}_{p}"], dtype=np.float64) for p in ("re", "im")]
-    return Spectrum(spec, parts[0] + 1j * parts[1])
+    # (re, im) pairs viewed as complex: re + 1j * im would turn -0.0 into 0.0
+    return Spectrum(spec, np.stack(parts, axis=-1).view(np.complex128)[..., 0])
 
 
 def spectrum_from_dict(payload: dict) -> Spectrum:
@@ -159,7 +168,7 @@ def diffeo_to_dict(phi: Diffeo) -> dict:
 def diffeo_from_dict(payload: dict) -> Diffeo:
     """Rebuild and re-certify under the stored floor and contraction flag; the
     stored min_det and max_grad are advisory only.  Every key is required."""
-    top = {k: v for k, v in payload.items() if k != "certificate"}  # checked below
+    top = {k: v for k, v in _object(payload, "diffeo payload").items() if k != "certificate"}
     u = _stored_spectrum(top, "diffeo", ("displacement_re", "displacement_im"), "displacement")
     cert = payload.get("certificate", {})
     _check_keys(cert, _CERTIFICATE_KEYS, "diffeo", "certificate.")

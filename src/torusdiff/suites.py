@@ -364,7 +364,7 @@ def run_taylor_order(params: dict) -> SuiteReport:
             probe = calculus.remainder_order_probe(
                 u, phi, du_dir, dphi_dir, r, s=p["s"]
             )
-            records.append({"r": r, "seed": seed, **probe.as_dict()})
+            records.append({"r": r, "seed": seed, **probe})
     passed = all(
         rec["degenerate"]
         or (rec["monotone"] and rec["slope"] >= rec["r"] + p["slope_margin"])
@@ -635,14 +635,16 @@ def normalize_params(raw: dict) -> dict:
 
 def parse_config(payload: dict) -> list[dict]:
     """Validate a config payload and return the suite entries."""
-    if "suites" not in payload or not isinstance(payload["suites"], list):
-        raise ValueError("config must contain a 'suites' list")
+    if not isinstance(payload, dict) or not isinstance(payload.get("suites"), list):
+        raise ValueError(f"config must be a JSON object with a 'suites' list, got {payload!r}")
     entries = []
     for entry in payload["suites"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"config entry must be a JSON object, got {entry!r}")
         if "suite" not in entry:
             raise ValueError(f"config entry missing 'suite': {entry}")
         name = entry["suite"]
-        if name not in SUITES:
+        if not isinstance(name, str) or name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
         params = {k: v for k, v in entry.items() if k != "suite"}  # run_suite checks these
         entries.append({"suite": name, "params": params})

@@ -182,9 +182,9 @@ def test_remainder_probe_slope(bundle):
     probe = calculus.remainder_order_probe(
         u, phi, du, dphi, 1, s=2.0, scales=tuple(2.0**-j for j in range(1, 6))
     )
-    assert probe.monotone
-    assert probe.slope >= 1.9
-    assert not probe.degenerate
+    assert probe["monotone"]
+    assert probe["slope"] >= 1.9
+    assert not probe["degenerate"]
 
 
 def test_remainder_probe_degenerate_direction(bundle):
@@ -192,7 +192,7 @@ def test_remainder_probe_degenerate_direction(bundle):
     zero_du = Spectrum(spec, np.zeros((1, 256), dtype=np.complex128))
     zero_dphi = GridFunction(spec, np.zeros((1, 256)))
     probe = calculus.remainder_order_probe(u, phi, zero_du, zero_dphi, 1, s=2.0)
-    assert probe.degenerate
+    assert probe["degenerate"]
 
 
 def test_path_diffeo_endpoints(bundle):

@@ -188,9 +188,9 @@ def test_det_multiplicativity():
     phi = make_diffeo(sine_disp(spec, 0.05))
     psi = make_diffeo(sine_disp(spec, 0.03))
     comp = compose_diffeo(phi, psi)
-    det_phi = forward_transform(GridFunction(spec, phi.det_values[None]))
+    det_phi = forward_transform(GridFunction(spec, phi.jacobian[0, 0][None]))
     pulled = evaluate(det_phi, psi.point_images())[0].reshape(spec.shape)
-    assert np.max(np.abs(comp.det_values - pulled * psi.det_values)) < 1e-8
+    assert np.max(np.abs(comp.jacobian[0, 0] - pulled * psi.jacobian[0, 0])) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusdiff import suites
 from torusdiff.cli import main
 from torusdiff.diffeo import compose_function, invert, make_diffeo
 from torusdiff.grid import (
@@ -28,6 +29,7 @@ from torusdiff.report import (
     spectrum_to_dict,
 )
 from torusdiff.suites import (
+    SUITES,
     normalize_params,
     parse_config,
     random_certified_displacement,
@@ -208,6 +210,39 @@ def test_diffeo_codec_rejects_malformed(variant, match):
         diffeo_from_dict(_malformed(payload, variant))
 
 
+@pytest.mark.parametrize("payload", [[1, 2], 5, "spectrum"])
+def test_codecs_reject_a_non_object_payload(payload):
+    for codec in (spectrum_from_dict, diffeo_from_dict):
+        with pytest.raises(ValueError, match="payload must be a JSON object"):
+            codec(payload)
+
+
+def test_codecs_reject_a_non_object_grid():
+    field = spectrum_to_dict(random_field(GridSpec(1, 64), 2.0, seed=3))
+    phi = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    for codec, payload in ((spectrum_from_dict, field), (diffeo_from_dict, phi)):
+        payload["grid"] = 5
+        with pytest.raises(ValueError, match="'grid' must be a JSON object, got int"):
+            codec(payload)
+
+
+@pytest.mark.parametrize("certificate", [[1, 2], 0.5, None])
+def test_diffeo_codec_rejects_a_non_object_certificate(certificate):
+    payload = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    payload["certificate"] = certificate
+    with pytest.raises(ValueError, match="'certificate' must be a JSON object"):
+        diffeo_from_dict(payload)
+
+
+def test_codecs_keep_signed_zeros():
+    u = random_certified_displacement(GridSpec(1, 32), 0, 4, 0.5)
+    assert np.sum(np.signbit(u.coeffs.real) & (u.coeffs.real == 0.0)) == 5  # the witness
+    field = spectrum_from_dict(json.loads(dump_json(spectrum_to_dict(u))))
+    phi = diffeo_from_dict(json.loads(dump_json(diffeo_to_dict(make_diffeo(u)))))
+    assert field.coeffs.tobytes() == u.coeffs.tobytes()
+    assert phi.displacement.coeffs.tobytes() == u.coeffs.tobytes()
+
+
 grid_specs = st.one_of(
     st.builds(GridSpec, st.just(1), st.sampled_from([8, 32, 64])),
     st.builds(GridSpec, st.just(2), st.sampled_from([8, 16])),
@@ -222,7 +257,7 @@ def test_spectrum_codec_round_trip_property(spec, components, seed):
     )
     G = spectrum_from_dict(json.loads(dump_json(spectrum_to_dict(F))))
     assert G.spec == F.spec
-    assert np.array_equal(G.coeffs, F.coeffs)
+    assert G.coeffs.tobytes() == F.coeffs.tobytes()
 
 
 @settings(max_examples=15, deadline=None)
@@ -232,7 +267,7 @@ def test_diffeo_codec_round_trip_property(spec, amplitude, seed, inverted):
     if inverted:
         phi = invert(phi)
     back = diffeo_from_dict(json.loads(dump_json(diffeo_to_dict(phi))))
-    assert np.array_equal(back.displacement.coeffs, phi.displacement.coeffs)
+    assert back.displacement.coeffs.tobytes() == phi.displacement.coeffs.tobytes()
     assert diffeo_to_dict(back) == diffeo_to_dict(phi)
 
 
@@ -297,6 +332,54 @@ def test_run_suite_unknown_name():
 def test_run_suite_rejects_unknown_param(key):
     with pytest.raises(ValueError, match=f"'{key}'"):
         run_suite("group", {key: 1})
+
+
+# the parameters each suite requires to be positive, in its own order
+POSITIVE = {
+    "norm-equivalence": ("tol_identity", "tol_bracket"),
+    "algebra": ("stability",),
+    "quotient-rule": ("tol_bundled", "tol_closure", "tol_random_scale"),
+    "group": ("tol_identity", "tol_residual"),
+    "taylor-identity": ("tol_scale",),
+    "taylor-order": ("slope_margin",),
+    "inverse-differential": ("eps", "ratio_band"),
+    "lipschitz": ("radius", "stability"),
+    "loss-of-derivative": ("growth_min", "right_band"),
+    "geodesic": ("tol_flat", "tol_scaling", "tol_energy"),
+    "fractional": ("oracle_rel_tol", "slack"),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every suite builds its grid first: fail as soon as one starts work."""
+
+    def started(*args):
+        raise AssertionError("the suite started work")
+
+    monkeypatch.setattr(suites, "GridSpec", started)
+
+
+def test_positive_table_matches_the_suites(monkeypatch, no_work):
+    for name in SUITES:
+        checked = []
+        monkeypatch.setattr(suites, "_require_positive", lambda p, keys: checked.extend(keys))
+        with pytest.raises(AssertionError, match="started work"):
+            run_suite(name)
+        assert tuple(checked) == POSITIVE.get(name, ())
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name, key", [(n, k) for n, keys in POSITIVE.items() for k in keys])
+def test_suites_reject_a_non_positive_tolerance(no_work, name, key, value):
+    with pytest.raises(ValueError, match=f"tolerance '{key}' must be positive, got {value}"):
+        run_suite(name, {key: value})
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_rejects_an_unknown_param(no_work, name):
+    with pytest.raises(ValueError, match="unknown parameter 'trails'"):
+        run_suite(name, {"trails": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +485,28 @@ def test_cli_verify_all_bad_config_exits_2(tmp_path, capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (7, "config must be a JSON object with a 'suites' list, got 7"),
+        ({"suites": [5]}, "config entry must be a JSON object, got 5"),
+        ({"suites": [{"suite": ["embedding"]}]}, "unknown suite ['embedding']"),
+        ({"suites": [{"suite": "embeding", "trials": 5}]}, "unknown suite 'embeding'"),
+    ],
+)
+def test_malformed_config_is_an_error_for_both_commands(tmp_path, capsys, config, message):
+    with pytest.raises(ValueError) as exc:
+        parse_config(config)
+    assert str(exc.value) == message
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main(["verify-all", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # verify validates the whole list too, not just the entry it would run
+    assert main(["verify", "embedding", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # CLI: norm / compose / invert
 
@@ -467,6 +572,14 @@ def test_cli_bad_input_is_a_clean_error(tmp_path, capsys):
     bad.write_text('{"kind": "spectrum"}')
     assert main(["norm", str(bad), "--s", "1.0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_non_object_payload_is_a_clean_error(tmp_path, capsys):
+    bad = write_json(tmp_path / "bad.json", [1, 2])
+    assert main(["norm", bad, "--s", "1.0"]) == 1
+    assert capsys.readouterr().err == "error: spectrum payload must be a JSON object, got list\n"
+    assert main(["invert", bad]) == 1
+    assert capsys.readouterr().err == "error: diffeo payload must be a JSON object, got list\n"
 
 
 def test_cli_invert_flags_uncertified_inverse(tmp_path):
