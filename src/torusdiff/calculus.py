@@ -253,12 +253,14 @@ def right_translation_quotients(
     return out
 
 
+EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
+
+
 def loss_of_derivative_probe(
     phi: Diffeo,
     dphi_dir: GridFunction,
     s: float,
     octaves: int = 5,
-    eps_ladder: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
 ) -> dict:
     """Left-translation roughness against mode frequency.
 
@@ -267,15 +269,16 @@ def loss_of_derivative_probe(
         L_j = sup_eps ||psi_j o phi_eps - psi_j o phi||_s / ||phi_eps - phi||_s
 
     grows like 2^j (one full derivative is lost), while the right-translation
-    quotient ||psi_j o phi||_s / ||psi_j||_s stays bounded.  Returns the per-
-    octave quotients and their consecutive growth factors.
+    quotient ||psi_j o phi||_s / ||psi_j||_s stays bounded.  The sup runs
+    over eps in EPS_LADDER.  Returns the per-octave quotients and their
+    consecutive growth factors.
     """
     spec = phi.spec
     if spec.dim != 1:
         raise ValueError("the octave probe is built on dim == 1 grids")
     dir_norm = hs_norm(forward_transform(dphi_dir), s)
     left, right = [], []
-    path = [path_diffeo(phi, dphi_dir, eps) for eps in eps_ladder]
+    path = [path_diffeo(phi, dphi_dir, eps) for eps in EPS_LADDER]
     for j in range(1, octaves + 1):
         k = 2**j
         if 2 * k > spec.size // 2:
@@ -288,7 +291,7 @@ def loss_of_derivative_probe(
         psi_j = Spectrum(spec, coeffs)
         base = compose_function(psi_j, phi)
         quot = 0.0
-        for eps, phi_eps in zip(eps_ladder, path):
+        for eps, phi_eps in zip(EPS_LADDER, path):
             diff = forward_transform(
                 GridFunction(spec, compose_function(psi_j, phi_eps).values - base.values)
             )

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .diffeo import DiffeoError, InversionError, compose_function, invert
+from .diffeo import InversionError, compose_function, invert
 from .grid import forward_transform, inverse_transform
 from .norms import (
     cr_norm,
@@ -29,7 +29,7 @@ from .report import (
     load_field,
     spectrum_to_dict,
 )
-from .suites import SUITES, default_config, normalize_params, parse_config, run_all, run_suite
+from .suites import SUITES, default_config, normalize_params, parse_config, run_all
 
 
 def _read_config(path: str | None) -> dict:
@@ -44,6 +44,8 @@ def _suite_params(config: dict, suite: str) -> dict:
     if not isinstance(config, dict) or "suites" in config:
         entries = parse_config(config)
         return next((e["params"] for e in entries if e["suite"] == suite), {})
+    if "suite" in config:  # only a `suites` entry names its suite
+        raise ValueError("unknown parameter 'suite' in a flat config")
     return dict(config)
 
 
@@ -58,11 +60,11 @@ def cmd_verify(args) -> int:
         params["seed"] = args.seed
     if args.grid is not None:
         params["size"] = args.grid
-    try:
-        report = run_suite(args.suite, params)
-    except (DiffeoError, InversionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    reports, summary = run_all({"suites": [{"suite": args.suite, **params}]})
+    if not reports:
+        print(f"error: {summary['suites'][0]['error']}", file=sys.stderr)
         return 1
+    [report] = reports
     _print_report_line(report.suite, report.passed, report.wall_time_s)
     if not report.passed:
         print(dump_json(report.aggregate), file=sys.stderr)
@@ -116,12 +118,7 @@ def cmd_norm(args) -> int:
 
 def cmd_compose(args) -> int:
     F = load_field(args.field)
-    try:
-        phi = load_diffeo(args.phi)
-    except DiffeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    composed = compose_function(F, phi)
+    composed = compose_function(F, load_diffeo(args.phi))
     payload = spectrum_to_dict(forward_transform(composed))
     text = dump_json(payload, args.out)
     if args.out is None:
@@ -130,13 +127,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    try:
-        phi = load_diffeo(args.phi)
-        psi = invert(phi)
-    except (DiffeoError, InversionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload = diffeo_to_dict(psi)
+    payload = diffeo_to_dict(invert(load_diffeo(args.phi)))
     text = dump_json(payload, args.out)
     if args.out is None:
         print(text)
@@ -191,8 +182,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        # malformed paths/payloads should not produce a traceback
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, InversionError) as exc:
+        # malformed paths/payloads and failed certification or inversion
+        # should not produce a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

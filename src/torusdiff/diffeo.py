@@ -122,9 +122,9 @@ def _det_and_opnorm(grad_vals: np.ndarray, dim: int):
     return det, opnorm
 
 
-def gradient_sup(u: Spectrum, refine_factor: int = CERT_REFINE) -> float:
-    """sup over the refined grid of the operator norm of du."""
-    fine = refine(_displacement_gradient(u), refine_factor)
+def gradient_sup(u: Spectrum) -> float:
+    """sup over the CERT_REFINE-refined grid of the operator norm of du."""
+    fine = refine(_displacement_gradient(u), CERT_REFINE)
     _, opnorm = _det_and_opnorm(fine.values, u.spec.dim)
     return float(np.max(opnorm))
 

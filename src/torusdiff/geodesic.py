@@ -204,28 +204,16 @@ def exp_field(
     Y: GridFunction,
     t: float = 1.0,
     steps: int = 256,
-    max_speed: float | None = None,
 ) -> GridFunction:
     """Pointwise exponential: follow each grid point's geodesic to time t.
 
-    f holds chart points (components = m.dim), Y the velocity field.  With
-    max_speed set, reject fields whose pointwise metric speed sqrt(g(Y,Y))
-    exceeds the cap; the near-identity theory only controls small velocity
-    balls, and beyond the cap inversion of the time-1 map can fail.
+    f holds chart points (components = m.dim), Y the velocity field.
     """
     _validate_time_steps(t, steps)
     if f.spec != Y.spec or f.num_components != m.dim or Y.num_components != m.dim:
         raise ValueError("point and velocity fields must match the metric dim")
     y = f.flat_points_values()  # (P, d)
     v = Y.flat_points_values()
-    if max_speed is not None:
-        g = m.metric(y)
-        speeds = np.sqrt(np.einsum("...pq,...p,...q->...", g, v, v))
-        top = float(np.max(speeds))
-        if top > max_speed:
-            raise ValueError(
-                f"velocity cap exceeded: max metric speed {top:.4g} > {max_speed}"
-            )
     h = t / steps
     ye, ve = _chart(y, m.dim), _chart(v, m.dim)
     with np.errstate(all="ignore"):
@@ -262,21 +250,18 @@ def d0_exp_error(
 
 
 def rk4_order_errors(
-    m: Metric,
-    y0: np.ndarray,
-    v0: np.ndarray,
-    steps_list: tuple[int, ...] = (16, 32, 64, 128),
-    ref_steps: int = 8192,
-    T: float = 1.0,
+    m: Metric, y0: np.ndarray, v0: np.ndarray
 ) -> tuple[list[float], float]:
-    """Endpoint errors against a dense reference and the fitted order."""
-    ref = geodesic_flow(m, y0, v0, T=T, steps=ref_steps).positions[-1]
+    """Endpoint errors at T = 1 after 16, 32, 64 and 128 RK4 steps against an
+    8192-step reference, and the order fitted to them."""
+    steps_list = (16, 32, 64, 128)
+    ref = geodesic_flow(m, y0, v0, T=1.0, steps=8192).positions[-1]
     errors = []
     for steps in steps_list:
-        end = geodesic_flow(m, y0, v0, T=T, steps=steps).positions[-1]
+        end = geodesic_flow(m, y0, v0, T=1.0, steps=steps).positions[-1]
         errors.append(float(np.linalg.norm(end - ref)))
         if errors[-1] == 0.0:
             raise ValueError(f"RK4 error at {steps} steps is exactly 0; no order to fit")
-    hs = [T / s for s in steps_list]
+    hs = [1.0 / s for s in steps_list]
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     return errors, slope

@@ -32,6 +32,9 @@ class GridSpec:
     size: int
 
     def __post_init__(self):
+        for name, value in (("dim", self.dim), ("size", self.size)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.size < 8 or self.size % 2 != 0:

@@ -126,6 +126,15 @@ def spectrum_to_dict(F: Spectrum) -> dict:
     }
 
 
+def _numbers(payload: dict, key: str) -> np.ndarray:
+    """payload[key] as a float64 array; ValueError naming `key` unless it is a
+    (nested) list of numbers.  Ragged nesting raises in np.asarray."""
+    arr = np.asarray(payload[key])
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{key!r} must hold numbers only, got {payload[key]!r:.60}")
+    return arr.astype(np.float64)
+
+
 def _stored_spectrum(payload: dict, kind: str, keys: tuple, coeffs: str) -> Spectrum:
     """The Spectrum a `kind` payload holds as <coeffs>_re/_im, once its kind
     and keys (the grid's too) check out; see _check_keys."""
@@ -134,7 +143,7 @@ def _stored_spectrum(payload: dict, kind: str, keys: tuple, coeffs: str) -> Spec
     _check_keys(payload, ("schema_version", "kind", "grid") + keys, kind)
     _check_keys(payload["grid"], ("dim", "size"), kind, "grid.")
     spec = GridSpec(payload["grid"]["dim"], payload["grid"]["size"])
-    parts = [np.asarray(payload[f"{coeffs}_{p}"], dtype=np.float64) for p in ("re", "im")]
+    parts = [_numbers(payload, f"{coeffs}_{p}") for p in ("re", "im")]
     # (re, im) pairs viewed as complex: re + 1j * im would turn -0.0 into 0.0
     return Spectrum(spec, np.stack(parts, axis=-1).view(np.complex128)[..., 0])
 

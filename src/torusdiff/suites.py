@@ -1,9 +1,9 @@
 """Named verification suites and the configuration-driven runner.
 
 Each suite exercises one certified statement of the torus calculus at desk
-scale and returns a SuiteReport.  Suites draw every random object from
-seeds recorded in their parameters, so reports are reproducible bit for
-bit.  Trials run one after another in each suite's own loop.
+scale; `run_suite` names, times and reports it.  Suites draw every random
+object from seeds recorded in their parameters, so reports are reproducible
+bit for bit.  Trials run one after another in each suite's own loop.
 """
 
 from __future__ import annotations
@@ -46,14 +46,19 @@ from .report import SCHEMA_VERSION, SuiteReport
 
 TWO_PI = 2.0 * np.pi
 
+# what a suite returns: (params, trials, aggregate, passed)
+SuiteResult = tuple[dict, list, dict, bool]
 
-def _apply_params(p: dict, params: dict):
-    """Override a suite's defaults `p` in place; a key it lacks raises."""
+
+def _apply_params(p: dict, params: dict, *tolerances: str):
+    """Override a suite's defaults `p` in place; a key it lacks raises, and so
+    does a `tolerances` entry that is not positive."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
         raise ValueError(f"unknown parameter {names}; known: {sorted(p)}")
     p.update(params)
+    _require_positive(p, tolerances)
 
 
 def _require_positive(params: dict, keys: tuple[str, ...]):
@@ -92,7 +97,7 @@ def random_certified_displacement(
 # norm suites
 
 
-def run_norm_equivalence(params: dict) -> SuiteReport:
+def run_norm_equivalence(params: dict) -> SuiteResult:
     p = {
         "s_values": [1, 2],
         "size": 64,
@@ -102,8 +107,7 @@ def run_norm_equivalence(params: dict) -> SuiteReport:
         "tol_identity": 1e-10,
         "tol_bracket": 1e-12,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("tol_identity", "tol_bracket"))
+    _apply_params(p, params, "tol_identity", "tol_bracket")
     spec = GridSpec(p["dim"], p["size"])
     trials, aggregate = [], {}
     passed = True
@@ -130,10 +134,10 @@ def run_norm_equivalence(params: dict) -> SuiteReport:
         }
         trials.extend(records)
         passed = passed and ok
-    return SuiteReport("norm-equivalence", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
-def run_embedding(params: dict) -> SuiteReport:
+def run_embedding(params: dict) -> SuiteResult:
     p = {
         "s": 1.0,
         "r": 0,
@@ -158,10 +162,10 @@ def run_embedding(params: dict) -> SuiteReport:
         "violations": int(sum(r > bound for r in ratios)),
     }
     passed = aggregate["violations"] == 0
-    return SuiteReport("embedding", p, records, aggregate, passed)
+    return p, records, aggregate, passed
 
 
-def run_algebra(params: dict) -> SuiteReport:
+def run_algebra(params: dict) -> SuiteResult:
     p = {
         "s": 2.0,
         "s_prime": 1.0,
@@ -172,8 +176,7 @@ def run_algebra(params: dict) -> SuiteReport:
         "stability": 0.10,
         "k_max": None,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("stability",))
+    _apply_params(p, params, "stability")
     envelopes = {}
     trials = []
     for size in p["sizes"]:
@@ -202,10 +205,10 @@ def run_algebra(params: dict) -> SuiteReport:
         "stability": p["stability"],
         "k_max": p["k_max"],
     }
-    return SuiteReport("algebra", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
-def run_quotient_rule(params: dict) -> SuiteReport:
+def run_quotient_rule(params: dict) -> SuiteResult:
     p = {
         "size": 128,
         "dim": 1,
@@ -215,8 +218,7 @@ def run_quotient_rule(params: dict) -> SuiteReport:
         "tol_closure": 1e-8,
         "tol_random_scale": 1e-6,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("tol_bundled", "tol_closure", "tol_random_scale"))
+    _apply_params(p, params, "tol_bundled", "tol_closure", "tol_random_scale")
     spec = GridSpec(p["dim"], p["size"])
     x = spec.axis_coordinates()
     bundled = GridFunction(spec, (0.2 * np.sin(TWO_PI * x))[None])
@@ -249,14 +251,14 @@ def run_quotient_rule(params: dict) -> SuiteReport:
         "max_residual": max(t["residual"] for t in trials),
         "inf_one_plus_g": uset_membership(g_rand, p["epsilon"]).inf_value,
     }
-    return SuiteReport("quotient-rule", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
 # ---------------------------------------------------------------------------
 # group and calculus suites
 
 
-def run_group(params: dict) -> SuiteReport:
+def run_group(params: dict) -> SuiteResult:
     p = {
         "size": 256,
         "dim": 1,
@@ -266,8 +268,7 @@ def run_group(params: dict) -> SuiteReport:
         "tol_identity": 1e-10,
         "tol_residual": 1e-7,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("tol_identity", "tol_residual"))
+    _apply_params(p, params, "tol_identity", "tol_residual")
     spec = GridSpec(p["dim"], p["size"])
     u_modes = spec.size // 16
     f_modes = spec.size // 8
@@ -306,7 +307,7 @@ def run_group(params: dict) -> SuiteReport:
         "max_chain_rule_residual": worst_chain,
         "max_inverse_derivative_residual": worst_inv,
     }
-    return SuiteReport("group", p, records, aggregate, passed)
+    return p, records, aggregate, passed
 
 
 def _bundled_calculus_data(spec: GridSpec):
@@ -319,7 +320,7 @@ def _bundled_calculus_data(spec: GridSpec):
     return u, phi, du, dphi
 
 
-def run_taylor_identity(params: dict) -> SuiteReport:
+def run_taylor_identity(params: dict) -> SuiteResult:
     p = {
         "size": 256,
         "dim": 1,
@@ -327,8 +328,7 @@ def run_taylor_identity(params: dict) -> SuiteReport:
         "s": 2.0,
         "tol_scale": 1e-7,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("tol_scale",))
+    _apply_params(p, params, "tol_scale")
     spec = GridSpec(p["dim"], p["size"])
     u, phi, du, dphi = _bundled_calculus_data(spec)
     trials = []
@@ -338,10 +338,10 @@ def run_taylor_identity(params: dict) -> SuiteReport:
         trials.append({"r": r, "defect": defect, "tol": tol})
     passed = all(t["defect"] < t["tol"] for t in trials)
     aggregate = {"max_defect": max(t["defect"] for t in trials)}
-    return SuiteReport("taylor-identity", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
-def run_taylor_order(params: dict) -> SuiteReport:
+def run_taylor_order(params: dict) -> SuiteResult:
     p = {
         "size": 256,
         "dim": 1,
@@ -350,8 +350,7 @@ def run_taylor_order(params: dict) -> SuiteReport:
         "s": 2.0,
         "slope_margin": 0.9,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("slope_margin",))
+    _apply_params(p, params, "slope_margin")
     spec = GridSpec(p["dim"], p["size"])
     u, phi, _, _ = _bundled_calculus_data(spec)
     records = []
@@ -373,10 +372,10 @@ def run_taylor_order(params: dict) -> SuiteReport:
     aggregate = {
         "slopes": {f"r={rec['r']},seed={rec['seed']}": rec["slope"] for rec in records}
     }
-    return SuiteReport("taylor-order", p, records, aggregate, passed)
+    return p, records, aggregate, passed
 
 
-def run_inverse_differential(params: dict) -> SuiteReport:
+def run_inverse_differential(params: dict) -> SuiteResult:
     p = {
         "size": 256,
         "dim": 1,
@@ -384,8 +383,7 @@ def run_inverse_differential(params: dict) -> SuiteReport:
         "eps": [1e-3, 5e-4],
         "ratio_band": [3.5, 4.5],
     }
-    _apply_params(p, params)
-    _require_positive(p, ("eps", "ratio_band"))
+    _apply_params(p, params, "eps", "ratio_band")
     spec = GridSpec(p["dim"], p["size"])
     phi = make_diffeo(_sine_displacement(spec, p["amplitude"]))
     psi = invert(phi)
@@ -400,10 +398,10 @@ def run_inverse_differential(params: dict) -> SuiteReport:
         {"eps": eps, "fd_error": err} for eps, err in zip(p["eps"], errors)
     ]
     aggregate = {"richardson_ratio": ratio, "band": [lo, hi]}
-    return SuiteReport("inverse-differential", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
-def run_lipschitz(params: dict) -> SuiteReport:
+def run_lipschitz(params: dict) -> SuiteResult:
     p = {
         "size": 128,
         "dim": 1,
@@ -413,8 +411,7 @@ def run_lipschitz(params: dict) -> SuiteReport:
         "radius": 0.05,
         "stability": 0.15,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("radius", "stability"))
+    _apply_params(p, params, "radius", "stability")
     spec = GridSpec(p["dim"], p["size"])
     x = spec.axis_coordinates()
     f = forward_transform(
@@ -432,10 +429,10 @@ def run_lipschitz(params: dict) -> SuiteReport:
     passed = change <= p["stability"]
     trials = [{"radius": r, "max_quotient": v} for r, v in maxima.items()]
     aggregate = {"relative_change": change, "stability": p["stability"]}
-    return SuiteReport("lipschitz", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
-def run_loss_of_derivative(params: dict) -> SuiteReport:
+def run_loss_of_derivative(params: dict) -> SuiteResult:
     p = {
         "size": 256,
         "dim": 1,
@@ -445,8 +442,7 @@ def run_loss_of_derivative(params: dict) -> SuiteReport:
         "growth_min": 1.5,
         "right_band": 0.20,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("growth_min", "right_band"))
+    _apply_params(p, params, "growth_min", "right_band")
     spec = GridSpec(p["dim"], p["size"])
     phi = make_diffeo(_sine_displacement(spec, p["base_amplitude"]))
     dphi_dir = _cosine_field(spec, 1)
@@ -463,14 +459,14 @@ def run_loss_of_derivative(params: dict) -> SuiteReport:
         "right_quotients": data["right_quotients"],
         "right_median": median,
     }
-    return SuiteReport("loss-of-derivative", p, [data], aggregate, passed)
+    return p, [data], aggregate, passed
 
 
 # ---------------------------------------------------------------------------
 # geodesic and fractional suites
 
 
-def run_geodesic(params: dict) -> SuiteReport:
+def run_geodesic(params: dict) -> SuiteResult:
     p = {
         "size": 64,
         "seed": 19,
@@ -482,8 +478,7 @@ def run_geodesic(params: dict) -> SuiteReport:
         "d0_band": [1.7, 2.3],
         "rk4_band": [3.7, 4.3],
     }
-    _apply_params(p, params)
-    _require_positive(p, ("tol_flat", "tol_scaling", "tol_energy"))
+    _apply_params(p, params, "tol_flat", "tol_scaling", "tol_energy")
     spec = GridSpec(1, p["size"])
     x = spec.axis_coordinates()
     trials = []
@@ -551,10 +546,10 @@ def run_geodesic(params: dict) -> SuiteReport:
         "energy_drift": energy_drift,
         "rk4_slope": rk4_slope,
     }
-    return SuiteReport("geodesic", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
-def run_fractional(params: dict) -> SuiteReport:
+def run_fractional(params: dict) -> SuiteResult:
     p = {
         "size": 256,
         "oracle_size": 2048,
@@ -564,8 +559,7 @@ def run_fractional(params: dict) -> SuiteReport:
         "oracle_rel_tol": 0.02,
         "slack": 1.05,
     }
-    _apply_params(p, params)
-    _require_positive(p, ("oracle_rel_tol", "slack"))
+    _apply_params(p, params, "oracle_rel_tol", "slack")
     spec = GridSpec(1, p["size"])
     fine_spec = GridSpec(1, p["oracle_size"])
     lam = p["lam"]
@@ -601,7 +595,7 @@ def run_fractional(params: dict) -> SuiteReport:
         "slack": p["slack"],
     }
     trials = [{"check": "oracle", "relative_error": oracle_rel}] + records
-    return SuiteReport("fractional", p, trials, aggregate, passed)
+    return p, trials, aggregate, passed
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +657,8 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}")
     params = normalize_params(params or {})
     start = time.perf_counter()
-    report = SUITES[name](params)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    p, trials, aggregate, passed = SUITES[name](params)
+    return SuiteReport(name, p, trials, aggregate, passed, time.perf_counter() - start)
 
 
 def run_all(config: dict) -> tuple[list[SuiteReport], dict]:

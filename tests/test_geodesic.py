@@ -434,15 +434,6 @@ def test_exp_field_matches_per_point_flow():
         assert np.max(np.abs(out.flat_points_values()[j] - traj.positions[-1])) < 1e-12
 
 
-def test_exp_field_speed_cap():
-    spec = GridSpec(1, 16)
-    m = flat_metric(1)
-    f = GridFunction(spec, spec.axis_coordinates()[None])
-    fast = GridFunction(spec, np.full((1, 16), 2.0))
-    with pytest.raises(ValueError):
-        exp_field(m, f, fast, max_speed=1.0)
-
-
 def test_scaling_law():
     spec = GridSpec(1, 32)
     m = conformal_metric_2d()

@@ -54,6 +54,21 @@ def test_grid_spec_rejects(dim, size):
         GridSpec(dim, size)
 
 
+@pytest.mark.parametrize(
+    "dim, size, bad",
+    [(1, "16", "size"), (1, 16.0, "size"), (1, True, "size"), ("1", 16, "dim"), (1.0, 16, "dim"),
+     (True, 16, "dim")],
+)
+def test_grid_spec_rejects_a_non_integer(dim, size, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be an integer, got"):
+        GridSpec(dim, size)
+
+
+def test_grid_spec_accepts_numpy_integers():
+    spec = GridSpec(np.int64(2), np.int32(16))
+    assert spec == GridSpec(2, 16) and spec.shape == (16, 16)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

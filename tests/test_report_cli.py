@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdiff import suites
+from torusdiff import cli, suites
 from torusdiff.cli import main
-from torusdiff.diffeo import compose_function, invert, make_diffeo
+from torusdiff.diffeo import InversionError, compose_function, invert, make_diffeo
 from torusdiff.grid import (
     GridFunction,
     GridSpec,
@@ -226,6 +226,31 @@ def test_codecs_reject_a_non_object_grid():
             codec(payload)
 
 
+@pytest.mark.parametrize("size", ["16", 16.0, True])
+def test_codecs_reject_a_non_integer_grid_size(size):
+    field = spectrum_to_dict(random_field(GridSpec(1, 64), 2.0, seed=3))
+    phi = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    for codec, payload in ((spectrum_from_dict, field), (diffeo_from_dict, phi)):
+        payload["grid"]["size"] = size
+        with pytest.raises(ValueError, match=f"size must be an integer, got {size!r}"):
+            codec(payload)
+
+
+@pytest.mark.parametrize("coeffs", [{"a": 1}, "abc", [["1", 2]], None, [[True, False]]])
+def test_codecs_reject_non_numeric_coefficients(coeffs):
+    field = spectrum_to_dict(random_field(GridSpec(1, 64), 2.0, seed=3))
+    phi = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    for codec, payload, key in (
+        (spectrum_from_dict, field, "coeffs_re"),
+        (spectrum_from_dict, field, "coeffs_im"),
+        (diffeo_from_dict, phi, "displacement_re"),
+    ):
+        payload = json.loads(dump_json(payload))
+        payload[key] = coeffs
+        with pytest.raises(ValueError, match=f"'{key}' must hold numbers only"):
+            codec(payload)
+
+
 @pytest.mark.parametrize("certificate", [[1, 2], 0.5, None])
 def test_diffeo_codec_rejects_a_non_object_certificate(certificate):
     payload = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
@@ -424,6 +449,28 @@ def test_cli_verify_unknown_param_is_an_error(tmp_path, capsys):
     assert "'trails'" in err
 
 
+def test_cli_verify_a_wrong_typed_param_is_an_error_for_both_commands(tmp_path, capsys):
+    flat = write_json(tmp_path / "flat.json", {"trials": "x"})
+    assert main(["verify", "embedding", "--config", flat]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and "integer" in captured.err
+    message = captured.err[len("error: "):]
+    cfg = write_json(tmp_path / "cfg.json", {"suites": [{"suite": "embedding", "trials": "x"}]})
+    assert main(["verify-all", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "embedding: FAIL (0.00s)\noverall: FAIL\n"
+    assert captured.err == f"  error: {message}"
+
+
+def test_cli_verify_a_flat_config_cannot_name_its_suite(tmp_path, capsys):
+    for suite in ("embedding", "group"):
+        cfg = write_json(tmp_path / "cfg.json", {"suite": suite, "trials": 3})
+        assert main(["verify", "embedding", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown parameter 'suite'") and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify-all
 
@@ -580,6 +627,45 @@ def test_cli_non_object_payload_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: spectrum payload must be a JSON object, got list\n"
     assert main(["invert", bad]) == 1
     assert capsys.readouterr().err == "error: diffeo payload must be a JSON object, got list\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("size", "16", "size must be an integer, got '16'"),
+        ("coeffs_re", {"a": 1}, "'coeffs_re' must hold numbers only, got {'a': 1}"),
+    ],
+)
+def test_cli_norm_wrong_typed_payload_is_a_clean_error(tmp_path, capsys, key, value, message):
+    payload = spectrum_to_dict(random_field(GridSpec(1, 16), 2.0, seed=3))
+    (payload["grid"] if key == "size" else payload)[key] = value
+    assert main(["norm", write_json(tmp_path / "bad.json", payload), "--s", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_compose_and_invert_reject_an_uncertifiable_diffeo(tmp_path, capsys):
+    spec = GridSpec(1, 64)
+    payload = diffeo_to_dict(sine_diffeo(spec, 0.1))
+    payload["certificate"]["min_det_floor"] = 0.99  # this map's min det is 1 - 0.2 pi
+    phi = write_json(tmp_path / "phi.json", payload)
+    field = write_json(tmp_path / "f.json", spectrum_to_dict(random_field(spec, 2.0, seed=3)))
+    for argv in (["compose", field, phi], ["invert", phi]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: conditioning failure") and captured.out == ""
+
+
+def test_cli_invert_reports_an_inversion_error(tmp_path, capsys, monkeypatch):
+    def fail(phi):
+        raise InversionError(1e-3, 1e-12)
+
+    monkeypatch.setattr(cli, "invert", fail)
+    phi = write_json(tmp_path / "phi.json", diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1)))
+    assert main(["invert", phi]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: inverse residual 1.000e-03 exceeds 1.000e-11\n"
+    assert captured.out == ""
 
 
 def test_cli_invert_flags_uncertified_inverse(tmp_path):
