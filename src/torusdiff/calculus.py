@@ -16,11 +16,12 @@ translation.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import multiply
-from .diffeo import Diffeo, compose_function, invert, make_diffeo, solve_jacobian
+from .diffeo import Diffeo, certify_stack, compose_function, invert, solve_jacobian
 from .grid import (
     GridFunction,
     Spectrum,
@@ -31,14 +32,19 @@ from .grid import (
     inverse_transform,
     random_field,
 )
-from .norms import hs_norm, multi_indices
+from .norms import hs_norm, hs_norm_rows, multi_indices
 
 GL_NODES = 16
 
 
+@lru_cache(maxsize=None)
 def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0, 1], built on first use
+    (leggauss and its numpy.polynomial import cost ~2 MiB of resident memory)."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return (x + 1.0) / 2.0, w / 2.0
+    ts, ws = (x + 1.0) / 2.0, w / 2.0
+    ts.flags.writeable = ws.flags.writeable = False
+    return ts, ws
 
 
 def _exact_indices(dim: int, order: int) -> list[tuple[int, ...]]:
@@ -56,13 +62,15 @@ def _monomial(dphi: GridFunction, alpha: tuple[int, ...]) -> GridFunction:
     return out
 
 
-def path_diffeo(phi: Diffeo, dphi: GridFunction, t: float) -> Diffeo:
-    """Certified diffeomorphism id + (u_phi + t * dphi)."""
-    vals = phi.disp_values + t * dphi.values
-    return make_diffeo(
-        forward_transform(GridFunction(phi.spec, vals)),
-        min_det_floor=phi.min_det_floor,
-    )
+def path_diffeo(phi: Diffeo, dphi: GridFunction, t) -> Diffeo | list[Diffeo]:
+    """Certified diffeomorphism id + (u_phi + t * dphi); for a sequence of t, or
+    a dphi of B*n components (B directions), the list of maps (t-major) from
+    one certify_stack call."""
+    spec, n = phi.spec, phi.dim
+    steps = np.reshape(t, (-1, 1, 1) + (1,) * n) * dphi.values.reshape((-1, n) + spec.shape)
+    vals = (phi.disp_values + steps).reshape((-1,) + spec.shape)  # rows (t, direction, axis)
+    maps = certify_stack(forward_transform(GridFunction(spec, vals)), phi.min_det_floor)
+    return maps if np.ndim(t) or len(maps) > 1 else maps[0]
 
 
 def eta_k(
@@ -100,7 +108,7 @@ def eta_k(
 
 
 def taylor_remainder(
-    u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, r: int
+    u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, r: int, path: list | None = None
 ) -> GridFunction:
     """Both integral remainders R1 + R2 of the order-r expansion:
 
@@ -109,17 +117,17 @@ def taylor_remainder(
     R2 = sum_{|a|=r} (r/a!) int_0^1 (1-t)^{r-1}
          (d^a du)(phi + t dphi) dphi^a dt.
 
-    The Gauss-Legendre path maps phi + t dphi are certified once; at each
-    node d^a u and d^a du for every |a| = r are evaluated as one stacked
-    spectrum, and each multi-index's weighted node sum meets dphi^a in one
-    dealiased product (the product is linear, so only the order of
-    summation changes).
+    The Gauss-Legendre path maps (`path`, else certified here in one call)
+    and d^a u, d^a du for every |a| = r, stacked as one spectrum, meet in
+    one evaluation at all nodes' point images; each multi-index's weighted
+    node sum meets dphi^a in one dealiased product (the product is linear,
+    so only the order of summation changes).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     spec = phi.spec
     ts, ws = _gauss_legendre_01(GL_NODES)
-    path = [path_diffeo(phi, dphi, t) for t in ts]
+    path = path_diffeo(phi, dphi, ts) if path is None else path
     alphas = _exact_indices(spec.dim, r)
     factors = np.array([r / math.prod(math.factorial(a) for a in al) for al in alphas])
     factors = factors.reshape((-1,) + (1,) * (1 + spec.dim))  # over (component, *shape)
@@ -129,9 +137,10 @@ def taylor_remainder(
     )
     rows = (len(alphas), 2, u.num_components) + spec.shape
     base = compose_function(stack, phi).values.reshape(rows)[:, 0]
+    at_nodes = evaluate(stack, np.concatenate([m.point_images() for m in path]))
+    at_nodes = np.moveaxis(at_nodes.reshape(rows[:3] + (-1,) + spec.shape), 3, 0)  # node first
     node_sum = np.zeros_like(base)
-    for t, w, phi_t in zip(ts, ws, path):
-        vals = compose_function(stack, phi_t).values.reshape(rows)
+    for t, w, vals in zip(ts, ws, at_nodes):
         bracket = (vals[:, 0] - base) + vals[:, 1]
         node_sum += factors * w * (1.0 - t) ** (r - 1) * bracket
     acc = np.zeros_like(base[0])
@@ -142,14 +151,12 @@ def taylor_remainder(
 
 def remainder_r1(u: Spectrum, phi: Diffeo, dphi: GridFunction, r: int) -> GridFunction:
     """R1 alone: `taylor_remainder` with a zero field increment."""
-    zero = Spectrum(u.spec, np.zeros_like(u.coeffs))
-    return taylor_remainder(u, phi, zero, dphi, r)
+    return taylor_remainder(u, phi, Spectrum(u.spec, np.zeros_like(u.coeffs)), dphi, r)
 
 
 def remainder_r2(du: Spectrum, phi: Diffeo, dphi: GridFunction, r: int) -> GridFunction:
     """R2 alone: `taylor_remainder` with a zero base field."""
-    zero = Spectrum(du.spec, np.zeros_like(du.coeffs))
-    return taylor_remainder(zero, phi, du, dphi, r)
+    return taylor_remainder(Spectrum(du.spec, np.zeros_like(du.coeffs)), phi, du, dphi, r)
 
 
 def taylor_defect(
@@ -157,13 +164,13 @@ def taylor_defect(
 ) -> float:
     """Max grid defect of the order-r expansion with both remainders."""
     spec = phi.spec
-    perturbed = path_diffeo(phi, dphi, 1.0)
+    *path, perturbed = path_diffeo(phi, dphi, [*_gauss_legendre_01(GL_NODES)[0], 1.0])
     total = Spectrum(spec, u.coeffs + du.coeffs)
     lhs = compose_function(total, perturbed).values
     rhs = compose_function(u, phi).values.copy()  # k = 0 term
     for k in range(1, r + 1):
         rhs += eta_k(u, phi, du, dphi, k).values / math.factorial(k)
-    rhs += taylor_remainder(u, phi, du, dphi, r).values
+    rhs += taylor_remainder(u, phi, du, dphi, r, path).values
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -173,30 +180,34 @@ DEFAULT_SCALES = tuple(2.0**-m for m in range(1, 9))
 def remainder_order_probe(
     u: Spectrum,
     phi: Diffeo,
-    du_dir: Spectrum,
     dphi_dir: GridFunction,
-    r: int,
+    orders: list[tuple[int, Spectrum]],
     s: float = 2.0,
     scales: tuple[float, ...] = DEFAULT_SCALES,
-) -> dict:
-    """Fit the decay order of ||R1 + R2||_s along a geometric scale ladder.
+) -> list[dict]:
+    """Fit the decay order of ||R1 + R2||_s along a geometric scale ladder
+    for each (r, du_dir) in `orders`, on one certified path per scale.
 
     For directions scaled by eps the combined remainder should vanish like
     eps^{r+1}; the probe reports the fitted log-log slope.  Identically
     zero directions yield a degenerate (vacuously passing) probe.  Returns
-    the record keys order, scales, norms, slope, monotone and degenerate.
+    a record per order: order, scales, norms, slope, monotone, degenerate.
     """
-    norms = []
+    norms = [[] for _ in orders]
     for eps in scales:
         dphi = GridFunction(phi.spec, eps * dphi_dir.values)
-        du = Spectrum(phi.spec, eps * du_dir.coeffs)
-        rem = taylor_remainder(u, phi, du, dphi, r)
-        norms.append(hs_norm(forward_transform(rem), s))
-    degenerate = max(norms) < 1e-14
-    slope = None if degenerate else float(np.polyfit(np.log(scales), np.log(norms), 1)[0])
-    monotone = degenerate or all(a > b for a, b in zip(norms, norms[1:]))
-    return {"order": r, "scales": list(scales), "norms": norms, "slope": slope,
-            "monotone": monotone, "degenerate": degenerate}
+        path = path_diffeo(phi, dphi, _gauss_legendre_01(GL_NODES)[0])
+        for (r, du_dir), out in zip(orders, norms):
+            rem = taylor_remainder(u, phi, Spectrum(phi.spec, eps * du_dir.coeffs), dphi, r, path)
+            out.append(hs_norm(forward_transform(rem), s))
+    records = []
+    for (r, _), norm in zip(orders, norms):
+        degenerate = max(norm) < 1e-14
+        slope = None if degenerate else float(np.polyfit(np.log(scales), np.log(norm), 1)[0])
+        monotone = degenerate or all(a > b for a, b in zip(norm, norm[1:]))
+        records.append({"order": r, "scales": list(scales), "norms": norm, "slope": slope,
+                        "monotone": monotone, "degenerate": degenerate})
+    return records
 
 
 def inv_differential(phi: Diffeo, dphi: GridFunction, psi: Diffeo | None = None) -> GridFunction:
@@ -221,8 +232,7 @@ def inv_differential_fd_error(
     """Sup distance between d inv(phi) dphi and a centred difference of the
     inversion map with step eps; decays like eps^2 for smooth data."""
     formula = inv_differential(phi, dphi, psi=psi)
-    plus = invert(path_diffeo(phi, dphi, eps))
-    minus = invert(path_diffeo(phi, dphi, -eps))
+    plus, minus = (invert(m) for m in path_diffeo(phi, dphi, (eps, -eps)))
     fd = (plus.disp_values - minus.disp_values) / (2.0 * eps)
     return float(np.max(np.abs(formula.values - fd)))
 
@@ -237,20 +247,17 @@ def right_translation_quotients(
 ) -> list[float]:
     """Lipschitz quotients ||f o phi - f o phi0||_s / (||f||_{s+1} ||phi - phi0||_s)
     over random certified phi in an H^s ball of the given radius."""
-    spec = phi0.spec
+    spec, c = phi0.spec, f.num_components
     base = compose_function(f, phi0)
     fnorm = hs_norm(f, s + 1.0)
-    out = []
-    for trial in range(trials):
-        w = random_field(spec, s, seed + 1000 * trial, components=spec.dim)
-        scale = radius / hs_norm(w, s)
-        step = inverse_transform(Spectrum(spec, scale * w.coeffs))
-        phi = path_diffeo(phi0, step, 1.0)
-        diff = forward_transform(
-            GridFunction(spec, compose_function(f, phi).values - base.values)
-        )
-        out.append(float(hs_norm(diff, s) / (fnorm * radius)))
-    return out
+    ws = [random_field(spec, s, seed + 1000 * i, components=spec.dim) for i in range(trials)]
+    steps = np.concatenate([(radius / hs_norm(w, s)) * w.coeffs for w in ws])
+    step = inverse_transform(_trusted(Spectrum, spec, steps))
+    pulled = evaluate(f, np.concatenate([m.point_images() for m in path_diffeo(phi0, step, [1.0])]))
+    diffs = pulled.reshape((c, trials) + spec.shape) - base.values[:, None]
+    stacked = diffs.swapaxes(0, 1).reshape((-1,) + spec.shape)  # rows (trial, c)
+    quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, stacked)), s, trials)
+    return [float(q / (fnorm * radius)) for q in quots]
 
 
 EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -278,7 +285,8 @@ def loss_of_derivative_probe(
         raise ValueError("the octave probe is built on dim == 1 grids")
     dir_norm = hs_norm(forward_transform(dphi_dir), s)
     left, right = [], []
-    path = [path_diffeo(phi, dphi_dir, eps) for eps in EPS_LADDER]
+    path_pts = np.concatenate([m.point_images() for m in path_diffeo(phi, dphi_dir, EPS_LADDER)])
+    eps_scale = np.array(EPS_LADDER) * dir_norm
     for j in range(1, octaves + 1):
         k = 2**j
         if 2 * k > spec.size // 2:
@@ -290,13 +298,9 @@ def loss_of_derivative_probe(
         coeffs[0, -k] = -amp / (2.0 * 1j)
         psi_j = Spectrum(spec, coeffs)
         base = compose_function(psi_j, phi)
-        quot = 0.0
-        for eps, phi_eps in zip(EPS_LADDER, path):
-            diff = forward_transform(
-                GridFunction(spec, compose_function(psi_j, phi_eps).values - base.values)
-            )
-            quot = max(quot, hs_norm(diff, s) / (eps * dir_norm))
-        left.append(float(quot))
+        diffs = evaluate(psi_j, path_pts).reshape((-1,) + spec.shape) - base.values
+        quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, diffs)), s, len(diffs))
+        left.append(float(max(0.0, *(quots / eps_scale))))
         right.append(float(hs_norm(forward_transform(base), s)))
     growth = [b / a for a, b in zip(left, left[1:])]
     return {

@@ -142,53 +142,59 @@ def solve_jacobian(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.stack([(d * r[0] - b * r[1]) / det, (a * r[1] - c * r[0]) / det])
 
 
+def certify_stack(
+    displacement: Spectrum,
+    min_det_floor: float = DEFAULT_MIN_DET,
+    refine_factor: int = CERT_REFINE,
+    check_contraction: bool = True,
+) -> list[Diffeo]:
+    """Certify B maps id + u_b given as one (B*n)-component displacement and
+    build their Diffeos in order, or raise the first failing map's DiffeoError.
+    Transforms run once for the whole stack, the checks map by map.
+
+    `check_contraction=False` (for invert, whose output is injective by
+    construction) records sup|du|_op >= 1 and flags the certificate instead.
+    """
+    spec, n = displacement.spec, displacement.spec.dim
+    if min_det_floor <= 0:
+        raise ValueError("min_det_floor must be positive")
+    grad = _displacement_gradient(displacement)
+    fine = refine(grad, refine_factor)
+    stack = (displacement.num_components // n, n)
+    det, opnorm = _det_and_opnorm(fine.values.reshape(stack[0], n * n, -1).swapaxes(0, 1), n)
+    certs = []  # (min_det, max_grad) per map; rows of det and opnorm are maps
+    for idx, gidx, det_b, opnorm_b in zip(np.argmin(det, 1), np.argmax(opnorm, 1), det, opnorm):
+        min_det, max_grad = float(det_b[idx]), float(opnorm_b[gidx])
+        if min_det <= 0.0:
+            raise DiffeoError("orientation", fine.spec.points()[idx], min_det)
+        if check_contraction and max_grad >= 1.0:
+            raise DiffeoError("injectivity", fine.spec.points()[gidx], max_grad)
+        if min_det < min_det_floor:
+            raise DiffeoError("conditioning", fine.spec.points()[idx], min_det)
+        certs.append((min_det, max_grad))
+    coeffs = displacement.coeffs.reshape(stack + spec.shape)
+    disp = inverse_transform(displacement).values.reshape(stack + spec.shape)
+    jac = inverse_transform(grad).values.reshape(stack + (n,) + spec.shape)
+    jac = jac + np.eye(n).reshape((n, n) + (1,) * n)
+    return [
+        Diffeo(_trusted(Spectrum, spec, c), vals, jac_b, min_det, max_grad, min_det_floor,
+               contraction_certified=max_grad < 1.0)
+        for c, vals, jac_b, (min_det, max_grad) in zip(coeffs, disp, jac, certs)
+    ]
+
+
 def make_diffeo(
     displacement: Spectrum,
     min_det_floor: float = DEFAULT_MIN_DET,
     refine_factor: int = CERT_REFINE,
     check_contraction: bool = True,
 ) -> Diffeo:
-    """Certify id + u and build the Diffeo, or raise DiffeoError.
-
-    `check_contraction=False` skips the sup|du|_op < 1 rejection (used by
-    invert, whose output is injective by construction); the measured bound
-    is still recorded and the certificate flagged.
-    """
-    spec = displacement.spec
-    if displacement.num_components != spec.dim:
-        raise ValueError(
-            f"displacement needs {spec.dim} components, got "
-            f"{displacement.num_components}"
-        )
-    if min_det_floor <= 0:
-        raise ValueError("min_det_floor must be positive")
-    grad = _displacement_gradient(displacement)
-    fine = refine(grad, refine_factor)
-    det, opnorm = _det_and_opnorm(fine.values, spec.dim)
-    fine_pts = fine.spec.points()
-
-    idx = int(np.argmin(det))
-    min_det = float(det.reshape(-1)[idx])
-    if min_det <= 0.0:
-        raise DiffeoError("orientation", fine_pts[idx], min_det)
-    gidx = int(np.argmax(opnorm))
-    max_grad = float(opnorm.reshape(-1)[gidx])
-    if check_contraction and max_grad >= 1.0:
-        raise DiffeoError("injectivity", fine_pts[gidx], max_grad)
-    if min_det < min_det_floor:
-        raise DiffeoError("conditioning", fine_pts[idx], min_det)
-
-    n = spec.dim
-    jac = inverse_transform(grad).values.reshape((n, n) + spec.shape)
-    return Diffeo(
-        displacement,
-        inverse_transform(displacement).values,
-        jac + np.eye(n).reshape((n, n) + (1,) * n),
-        min_det,
-        max_grad,
-        min_det_floor,
-        contraction_certified=max_grad < 1.0,
-    )
+    """Certify id + u (the one-map case of certify_stack) or raise DiffeoError."""
+    spec, count = displacement.spec, displacement.num_components
+    if count != spec.dim:
+        raise ValueError(f"displacement needs {spec.dim} components, got {count}")
+    [phi] = certify_stack(displacement, min_det_floor, refine_factor, check_contraction)
+    return phi
 
 
 def identity_diffeo(spec: GridSpec) -> Diffeo:

@@ -34,8 +34,13 @@ def sobolev_weight(spec: GridSpec, s: float) -> np.ndarray:
 
 def hs_norm(F: Spectrum, s: float) -> float:
     """Fourier-side H^s norm; s may be fractional or zero."""
+    return float(hs_norm_rows(F, s, 1)[0])
+
+
+def hs_norm_rows(F: Spectrum, s: float, rows: int) -> np.ndarray:
+    """H^s norms of `rows` fields stacked in order on F's component axis."""
     w = sobolev_weight(F.spec, s)
-    return float(np.sqrt(np.sum(w[None] * np.abs(F.coeffs) ** 2)))
+    return np.sqrt(np.sum((w[None] * np.abs(F.coeffs) ** 2).reshape(rows, -1), axis=-1))
 
 
 def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:

@@ -181,6 +181,12 @@ def diffeo_from_dict(payload: dict) -> Diffeo:
     u = _stored_spectrum(top, "diffeo", ("displacement_re", "displacement_im"), "displacement")
     cert = payload.get("certificate", {})
     _check_keys(cert, _CERTIFICATE_KEYS, "diffeo", "certificate.")
+    for key in ("min_det", "max_grad", "min_det_floor", "contraction_certified"):
+        flag = key == "contraction_certified"  # the one boolean; a bool is no number
+        if isinstance(cert[key], bool) != flag or not isinstance(cert[key], (int, float)):
+            want = "true or false" if flag else "a number"
+            raise ValueError(f"'certificate.{key}' must be {want}, got {cert[key]!r:.60}")
+    _numbers(cert, "mean_displacement")
     return make_diffeo(
         u,
         min_det_floor=cert["min_det_floor"],

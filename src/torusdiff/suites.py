@@ -353,17 +353,16 @@ def run_taylor_order(params: dict) -> SuiteResult:
     _apply_params(p, params, "slope_margin")
     spec = GridSpec(p["dim"], p["size"])
     u, phi, _, _ = _bundled_calculus_data(spec)
-    records = []
-    for r in p["r_values"]:
-        for seed in p["seeds"]:
+    by_seed = []  # per seed, a record per r: the orders share the seed's path maps
+    for seed in p["seeds"]:
+        orders = []
+        for r in p["r_values"]:
             du_dir = fourier_truncate(random_field(spec, p["s"] + r, seed), 8)
-            du_dir = Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, p["s"] + r))
-            dphi_raw = random_certified_displacement(spec, seed + 7, 8, 0.5)
-            dphi_dir = inverse_transform(dphi_raw)
-            probe = calculus.remainder_order_probe(
-                u, phi, du_dir, dphi_dir, r, s=p["s"]
-            )
-            records.append({"r": r, "seed": seed, **probe})
+            orders.append((r, Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, p["s"] + r))))
+        dphi_dir = inverse_transform(random_certified_displacement(spec, seed + 7, 8, 0.5))
+        by_seed.append(calculus.remainder_order_probe(u, phi, dphi_dir, orders, s=p["s"]))
+    records = [{"r": rec["order"], "seed": seed, **rec}  # in (r, seed) order
+               for per_r in zip(*by_seed) for seed, rec in zip(p["seeds"], per_r)]
     passed = all(
         rec["degenerate"]
         or (rec["monotone"] and rec["slope"] >= rec["r"] + p["slope_margin"])

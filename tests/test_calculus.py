@@ -179,8 +179,8 @@ def test_taylor_remainder_matches_per_node_sums(bundle, r):
 
 def test_remainder_probe_slope(bundle):
     spec, u, phi, du, dphi = bundle
-    probe = calculus.remainder_order_probe(
-        u, phi, du, dphi, 1, s=2.0, scales=tuple(2.0**-j for j in range(1, 6))
+    [probe] = calculus.remainder_order_probe(
+        u, phi, dphi, [(1, du)], s=2.0, scales=tuple(2.0**-j for j in range(1, 6))
     )
     assert probe["monotone"]
     assert probe["slope"] >= 1.9
@@ -191,8 +191,32 @@ def test_remainder_probe_degenerate_direction(bundle):
     spec, u, phi, _, _ = bundle
     zero_du = Spectrum(spec, np.zeros((1, 256), dtype=np.complex128))
     zero_dphi = GridFunction(spec, np.zeros((1, 256)))
-    probe = calculus.remainder_order_probe(u, phi, zero_du, zero_dphi, 1, s=2.0)
+    [probe] = calculus.remainder_order_probe(u, phi, zero_dphi, [(1, zero_du)], s=2.0)
     assert probe["degenerate"]
+
+
+def test_remainder_probe_orders_match_single_order_probes(bundle):
+    """Both orders on one certified path per scale give each single-order
+    probe's record, and each norm that of `taylor_remainder` certifying its
+    own path, bit for bit."""
+    spec, u, phi, du, dphi = bundle
+    du2 = fourier_truncate(random_field(spec, 4.0, 102), 8)
+    du2 = Spectrum(spec, du2.coeffs / hs_norm(du2, 4.0))
+    scales = tuple(2.0**-j for j in range(1, 5))
+    orders = [(1, du), (2, du2)]
+    both = calculus.remainder_order_probe(u, phi, dphi, orders, s=2.0, scales=scales)
+    single = [
+        calculus.remainder_order_probe(u, phi, dphi, [pair], s=2.0, scales=scales)[0]
+        for pair in orders
+    ]
+    assert both == single
+    assert [rec["order"] for rec in both] == [1, 2]
+    for (r, du_dir), rec in zip(orders, both):  # and each norm its own remainder's
+        for eps, norm in zip(scales, rec["norms"]):
+            dphi_eps = GridFunction(spec, eps * dphi.values)
+            du_eps = Spectrum(spec, eps * du_dir.coeffs)
+            rem = calculus.taylor_remainder(u, phi, du_eps, dphi_eps, r)
+            assert norm == hs_norm(forward_transform(rem), 2.0)
 
 
 def test_path_diffeo_endpoints(bundle):
@@ -254,6 +278,40 @@ def test_right_translation_quotients_bounded(bundle):
     assert max(quots) < 5.0
 
 
+def _per_trial_quotients(f, phi0, radius, trials, seed, s):
+    """The oracle: one certification, composition, transform and norm per trial."""
+    spec = phi0.spec
+    base = compose_function(f, phi0)
+    fnorm = hs_norm(f, s + 1.0)
+    out = []
+    for trial in range(trials):
+        w = random_field(spec, s, seed + 1000 * trial, components=spec.dim)
+        step = inverse_transform(Spectrum(spec, (radius / hs_norm(w, s)) * w.coeffs))
+        phi = make_diffeo(
+            forward_transform(GridFunction(spec, phi0.disp_values + step.values)),
+            min_det_floor=phi0.min_det_floor,
+        )
+        diff = forward_transform(
+            GridFunction(spec, compose_function(f, phi).values - base.values)
+        )
+        out.append(float(hs_norm(diff, s) / (fnorm * radius)))
+    return out
+
+
+def test_right_translation_quotients_match_the_per_trial_loop(bundle):
+    """Precision contract of the stacked trials: certification, evaluation,
+    transform and per-row norms over all trials at once give the per-trial
+    loop's quotients bit for bit, in 1D and for a 2-component field on T^2."""
+    spec, u, phi, du, dphi = bundle
+    f = fourier_truncate(random_field(spec, 3.0, 77), 16)
+    spec2 = GridSpec(2, 16)
+    f2 = fourier_truncate(random_field(spec2, 3.0, 8, components=2), 4)
+    phi2 = make_diffeo(random_certified_displacement(spec2, 6, 3, 0.3))
+    for f, phi0, trials in ((f, phi, 12), (f2, phi2, 5)):
+        got = calculus.right_translation_quotients(f, phi0, 0.05, trials, 31, 2.0)
+        assert got == _per_trial_quotients(f, phi0, 0.05, trials, 31, 2.0)
+
+
 def test_loss_probe_growth(bundle):
     spec, u, phi, du, dphi = bundle
     steep = make_diffeo(
@@ -267,6 +325,27 @@ def test_loss_probe_growth(bundle):
     assert all(g >= 1.5 for g in data["growth_factors"])
     rq = data["right_quotients"]
     assert max(rq) / min(rq) < 1.2
+
+
+def test_loss_probe_matches_the_per_map_loop(bundle):
+    """The left quotients from one evaluation at all EPS_LADDER maps equal a
+    loop composing with each path map in turn, bit for bit."""
+    spec, u, phi, du, dphi = bundle
+    steep = make_diffeo(Spectrum(spec, phi.displacement.coeffs * (0.09 / 0.05)))
+    data = calculus.loss_of_derivative_probe(steep, dphi, 2.0, octaves=3)
+    dir_norm = hs_norm(forward_transform(dphi), 2.0)
+    for j, left in zip(data["octaves"], data["left_quotients"]):
+        psi = np.zeros((1,) + spec.shape, dtype=np.complex128)
+        amp = np.sqrt(2.0) / (1.0 + (2.0 * np.pi * 2**j) ** 2)  # unit H^2 sine mode
+        psi[0, 2**j], psi[0, -(2**j)] = amp / 2j, -amp / 2j
+        psi = Spectrum(spec, psi)
+        base = compose_function(psi, steep).values
+        quot = 0.0
+        for eps in calculus.EPS_LADDER:
+            phi_eps = calculus.path_diffeo(steep, dphi, eps)
+            diff = forward_transform(GridFunction(spec, compose_function(psi, phi_eps).values - base))
+            quot = max(quot, hs_norm(diff, 2.0) / (eps * dir_norm))
+        assert left == quot
 
 
 def test_loss_probe_band_guard():

@@ -10,6 +10,7 @@ from torusdiff.diffeo import (
     DiffeoError,
     InversionError,
     _displacement_gradient,
+    certify_stack,
     chain_rule_residual,
     compose_diffeo,
     compose_function,
@@ -117,6 +118,78 @@ def test_min_det_floor_configurable():
     phi = make_diffeo(sine_disp(spec, amp), min_det_floor=0.01)
     assert phi.min_det < 0.05
     assert phi.min_det > 0.01
+
+
+def _stacked(displacements):
+    return Spectrum(displacements[0].spec, np.concatenate([u.coeffs for u in displacements]))
+
+
+def _shear_disp(spec, slope):
+    """u_1(x_2) = (slope / 2 pi) sin(2 pi x_2): det 1, sup |du|_op = slope."""
+    coeffs = np.zeros((2,) + spec.shape, dtype=np.complex128)
+    coeffs[0, 0, 1], coeffs[0, 0, -1] = (slope / TWO_PI) / 2j, -(slope / TWO_PI) / 2j
+    return Spectrum(spec, coeffs)
+
+
+@pytest.mark.parametrize(
+    "spec, options",
+    [
+        (GridSpec(1, 64), {}),
+        (GridSpec(1, 256), {"min_det_floor": 0.01, "refine_factor": 2}),
+        (GridSpec(2, 16), {}),
+        (GridSpec(2, 32), {"check_contraction": False}),
+    ],
+)
+def test_certify_stack_matches_make_diffeo_row_by_row(spec, options):
+    """Precision contract of the stacked certifier: each map of the stack
+    equals make_diffeo on its own displacement, every field bit for bit
+    (as observed with numpy 2.4's pocketfft, whose stacked transforms
+    match row-wise ones)."""
+    disps = [
+        random_certified_displacement(spec, seed, 4, amp)
+        for seed, amp in ((1, 0.3), (2, 0.5), (3, 0.7))
+    ] + [shift_disp(spec, [0.25, -0.5][: spec.dim])]
+    if not options.get("check_contraction", True):
+        disps.append(_shear_disp(spec, 1.1))  # recorded, not rejected
+    maps = certify_stack(_stacked(disps), **options)
+    assert len(maps) == len(disps)
+    for phi, disp in zip(maps, disps):
+        want = make_diffeo(disp, **options)
+        assert (phi.min_det, phi.max_grad) == (want.min_det, want.max_grad)
+        assert phi.min_det_floor == want.min_det_floor
+        assert phi.contraction_certified == want.contraction_certified
+        for got, ref in (
+            (phi.disp_values, want.disp_values),
+            (phi.jacobian, want.jacobian),
+            (phi.displacement.coeffs, want.displacement.coeffs),
+        ):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+    if not options.get("check_contraction", True):
+        assert maps[-1].max_grad >= 1.0 and not maps[-1].contraction_certified
+
+
+@pytest.mark.parametrize(
+    "spec, bad, reason",
+    [
+        (GridSpec(1, 128), sine_disp(GridSpec(1, 128), 0.2), "orientation"),
+        (GridSpec(1, 256), sine_disp(GridSpec(1, 256), 0.155), "conditioning"),
+        (GridSpec(2, 32), _shear_disp(GridSpec(2, 32), 1.1), "injectivity"),
+    ],
+)
+def test_certify_stack_raises_the_failing_maps_error(spec, bad, reason):
+    """A stack whose k-th map fails raises make_diffeo's error for that map
+    (reason, witness and value), whatever passes or fails after it."""
+    good = [random_certified_displacement(spec, seed, 4, 0.4) for seed in (4, 5)]
+    with pytest.raises(DiffeoError) as single:
+        make_diffeo(bad)
+    assert single.value.reason == reason
+    later_failure = sine_disp(spec, 0.2) if spec.dim == 1 else _shear_disp(spec, 1.5)
+    for k in range(len(good) + 1):
+        with pytest.raises(DiffeoError) as stacked:
+            certify_stack(_stacked(good[:k] + [bad] + good[k:] + [later_failure]))
+        assert (stacked.value.reason, stacked.value.value) == (reason, single.value.value)
+        assert np.array_equal(stacked.value.witness, single.value.witness)
 
 
 def test_call_is_lifted_not_wrapped():

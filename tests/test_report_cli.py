@@ -259,6 +259,28 @@ def test_diffeo_codec_rejects_a_non_object_certificate(certificate):
         diffeo_from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("min_det_floor", "x", "'certificate.min_det_floor' must be a number, got 'x'"),
+        ("min_det_floor", None, "'certificate.min_det_floor' must be a number, got None"),
+        ("min_det_floor", [1], r"'certificate.min_det_floor' must be a number, got \[1\]"),
+        ("min_det_floor", True, "'certificate.min_det_floor' must be a number, got True"),
+        ("min_det", "0.5", "'certificate.min_det' must be a number, got '0.5'"),
+        ("max_grad", False, "'certificate.max_grad' must be a number, got False"),
+        ("mean_displacement", ["x"], "'mean_displacement' must hold numbers only"),
+        ("mean_displacement", [True], "'mean_displacement' must hold numbers only"),
+        ("contraction_certified", "no", "'certificate.contraction_certified' must be true or false"),
+        ("contraction_certified", 1, "'certificate.contraction_certified' must be true or false"),
+    ],
+)
+def test_diffeo_codec_rejects_wrong_typed_certificate_values(key, value, message):
+    payload = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    payload["certificate"][key] = value
+    with pytest.raises(ValueError, match=message):
+        diffeo_from_dict(payload)
+
+
 def test_codecs_keep_signed_zeros():
     u = random_certified_displacement(GridSpec(1, 32), 0, 4, 0.5)
     assert np.sum(np.signbit(u.coeffs.real) & (u.coeffs.real == 0.0)) == 5  # the witness
@@ -654,6 +676,19 @@ def test_cli_compose_and_invert_reject_an_uncertifiable_diffeo(tmp_path, capsys)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: conditioning failure") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("min_det_floor", "x"), ("contraction_certified", "no")]
+)
+def test_cli_invert_rejects_a_wrong_typed_certificate(tmp_path, capsys, key, value):
+    payload = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    payload["certificate"][key] = value
+    out = tmp_path / "psi.json"
+    assert main(["invert", write_json(tmp_path / "phi.json", payload), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: 'certificate.{key}' must be") and captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_invert_reports_an_inversion_error(tmp_path, capsys, monkeypatch):

@@ -103,14 +103,22 @@ def test_taylor_remainder_stacks(dim_size, r, seed):
     dphi = inverse_transform(random_certified_displacement(spec, seed + 1, 4, 0.05))
     u = forward_transform(_real_field(spec, 2, seed + 2))
     du = forward_transform(_real_field(spec, 2, seed + 3))
-    both, stacks = [], []  # the stacked (u, du) and its stacked d^a, |a| = r
+    both, stacks, evals = [], [], []  # the stacked (u, du), its stacked d^a, |a| = r
     with pytest.MonkeyPatch.context() as mp:
         diff, comp = calculus.differentiate_multi, calculus.compose_function
+        ev = calculus.evaluate
         mp.setattr(calculus, "differentiate_multi", lambda F, a: both.append(F) or diff(F, a))
         mp.setattr(calculus, "compose_function", lambda F, phi: stacks.append(F) or comp(F, phi))
+        mp.setattr(calculus, "evaluate", lambda F, pts: evals.append((F, pts)) or ev(F, pts))
         taylor_remainder(u, phi, du, dphi, r)
     alphas = r + 1 if spec.dim == 2 else 1
     assert len(both) == alphas and all(F is both[0] for F in both)
     _assert_trusted(both[0], Spectrum, spec, 4)
-    assert len(stacks) == 1 + calculus.GL_NODES and all(F is stacks[0] for F in stacks)
+    # one stack, composed with phi once and evaluated once at every node's
+    # point images, node after node (16 * P points)
+    assert len(stacks) == 1 and len(evals) == 1 and evals[0][0] is stacks[0]
     _assert_trusted(stacks[0], Spectrum, spec, alphas * 4)
+    path = calculus.path_diffeo(phi, dphi, calculus._gauss_legendre_01(calculus.GL_NODES)[0])
+    nodes = np.concatenate([m.point_images() for m in path])
+    assert evals[0][1].shape == (calculus.GL_NODES * spec.num_points, spec.dim)
+    assert evals[0][1].tobytes() == nodes.tobytes()
