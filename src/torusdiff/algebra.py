@@ -32,7 +32,6 @@ class UsetCertificate:
     epsilon: float
     inf_value: float
     member: bool
-    refine_factor: int
 
 
 def _component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,17 +59,15 @@ def multiply(f: GridFunction, g: GridFunction) -> GridFunction:
     return _dealiased(f, g, _component_product)
 
 
-def uset_membership(
-    g: GridFunction, epsilon: float, refine_factor: int = USET_REFINE
-) -> UsetCertificate:
-    """Certify inf(1 + g) > epsilon by direct minimum on a refined grid."""
+def uset_membership(g: GridFunction, epsilon: float) -> UsetCertificate:
+    """Certify inf(1 + g) > epsilon by direct minimum on the USET_REFINE-refined grid."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if g.num_components != 1:
         raise ValueError("stability certificates apply to scalar fields")
-    fine = refine(forward_transform(g), refine_factor)
+    fine = refine(forward_transform(g), USET_REFINE)
     inf_val = float(1.0 + np.min(fine.values))
-    return UsetCertificate(epsilon, inf_val, inf_val > epsilon, refine_factor)
+    return UsetCertificate(epsilon, inf_val, inf_val > epsilon)
 
 
 class StabilityError(ValueError):

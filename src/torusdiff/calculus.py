@@ -62,15 +62,14 @@ def _monomial(dphi: GridFunction, alpha: tuple[int, ...]) -> GridFunction:
     return out
 
 
-def path_diffeo(phi: Diffeo, dphi: GridFunction, t) -> Diffeo | list[Diffeo]:
-    """Certified diffeomorphism id + (u_phi + t * dphi); for a sequence of t, or
-    a dphi of B*n components (B directions), the list of maps (t-major) from
-    one certify_stack call."""
+def path_diffeo(phi: Diffeo, dphi: GridFunction, ts) -> list[Diffeo]:
+    """Certified diffeomorphisms id + (u_phi + t * dphi) for each t in `ts`
+    and, for a dphi of B*n components, each of its B directions: the list of
+    maps (t-major) from one certify_stack call."""
     spec, n = phi.spec, phi.dim
-    steps = np.reshape(t, (-1, 1, 1) + (1,) * n) * dphi.values.reshape((-1, n) + spec.shape)
+    steps = np.reshape(ts, (-1, 1, 1) + (1,) * n) * dphi.values.reshape((-1, n) + spec.shape)
     vals = (phi.disp_values + steps).reshape((-1,) + spec.shape)  # rows (t, direction, axis)
-    maps = certify_stack(forward_transform(GridFunction(spec, vals)), phi.min_det_floor)
-    return maps if np.ndim(t) or len(maps) > 1 else maps[0]
+    return certify_stack(forward_transform(GridFunction(spec, vals)), phi.min_det_floor)
 
 
 def eta_k(
@@ -160,18 +159,25 @@ def remainder_r2(du: Spectrum, phi: Diffeo, dphi: GridFunction, r: int) -> GridF
 
 
 def taylor_defect(
-    u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, r: int
-) -> float:
-    """Max grid defect of the order-r expansion with both remainders."""
+    u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, orders
+) -> list[float]:
+    """Max grid defect of the order-r expansion with both remainders, for
+    each r in `orders`; the path maps and each eta_k are built once."""
     spec = phi.spec
     *path, perturbed = path_diffeo(phi, dphi, [*_gauss_legendre_01(GL_NODES)[0], 1.0])
     total = Spectrum(spec, u.coeffs + du.coeffs)
     lhs = compose_function(total, perturbed).values
-    rhs = compose_function(u, phi).values.copy()  # k = 0 term
-    for k in range(1, r + 1):
-        rhs += eta_k(u, phi, du, dphi, k).values / math.factorial(k)
-    rhs += taylor_remainder(u, phi, du, dphi, r, path).values
-    return float(np.max(np.abs(lhs - rhs)))
+    base = compose_function(u, phi).values  # k = 0 term
+    terms = [eta_k(u, phi, du, dphi, k).values / math.factorial(k)
+             for k in range(1, max(orders) + 1)]
+    defects = []
+    for r in orders:
+        rhs = base.copy()
+        for term in terms[:r]:
+            rhs += term
+        rhs += taylor_remainder(u, phi, du, dphi, r, path).values
+        defects.append(float(np.max(np.abs(lhs - rhs))))
+    return defects
 
 
 DEFAULT_SCALES = tuple(2.0**-m for m in range(1, 9))
@@ -240,24 +246,27 @@ def inv_differential_fd_error(
 def right_translation_quotients(
     f: Spectrum,
     phi0: Diffeo,
-    radius: float,
+    radii,
     trials: int,
     seed: int,
     s: float,
-) -> list[float]:
+) -> list[list[float]]:
     """Lipschitz quotients ||f o phi - f o phi0||_s / (||f||_{s+1} ||phi - phi0||_s)
-    over random certified phi in an H^s ball of the given radius."""
-    spec, c = phi0.spec, f.num_components
+    over random certified phi on the H^s sphere of each radius in `radii`:
+    one list per radius, the same `trials` random directions for every radius."""
+    spec, c, maps = phi0.spec, f.num_components, len(radii) * trials
     base = compose_function(f, phi0)
     fnorm = hs_norm(f, s + 1.0)
     ws = [random_field(spec, s, seed + 1000 * i, components=spec.dim) for i in range(trials)]
-    steps = np.concatenate([(radius / hs_norm(w, s)) * w.coeffs for w in ws])
+    norms = [hs_norm(w, s) for w in ws]
+    steps = np.concatenate([(radius / n) * w.coeffs for radius in radii for w, n in zip(ws, norms)])
     step = inverse_transform(_trusted(Spectrum, spec, steps))
     pulled = evaluate(f, np.concatenate([m.point_images() for m in path_diffeo(phi0, step, [1.0])]))
-    diffs = pulled.reshape((c, trials) + spec.shape) - base.values[:, None]
-    stacked = diffs.swapaxes(0, 1).reshape((-1,) + spec.shape)  # rows (trial, c)
-    quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, stacked)), s, trials)
-    return [float(q / (fnorm * radius)) for q in quots]
+    diffs = pulled.reshape((c, maps) + spec.shape) - base.values[:, None]
+    stacked = diffs.swapaxes(0, 1).reshape((-1,) + spec.shape)  # rows (radius, trial, c)
+    quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, stacked)), s, maps)
+    return [[float(q / (fnorm * radius)) for q in row]
+            for radius, row in zip(radii, quots.reshape(len(radii), trials))]
 
 
 EPS_LADDER = (1e-2, 5e-3, 2.5e-3)

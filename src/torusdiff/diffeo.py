@@ -91,15 +91,6 @@ class Diffeo:
         pts = self.spec.points()
         return pts + self.disp_values.reshape(self.dim, -1).T
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """phi at arbitrary points (P, n) -> (P, n), lifted (no wrapping)."""
-        pts = np.asarray(points, dtype=np.float64)
-        squeeze = pts.ndim == 1 and self.dim == 1
-        if squeeze:
-            pts = pts[:, None]
-        out = pts + evaluate(self.displacement, pts).T
-        return out[:, 0] if squeeze else out
-
 
 def _displacement_gradient(u: Spectrum) -> Spectrum:
     """Gradient of a d-component field stacked as d*n components, row-major (c, j)."""

@@ -41,8 +41,7 @@ def _real(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Metric:
-    """Chart metric: callables for g and its geodesic spray, plus a kind tag
-    for reports.
+    """Chart metric: callables for g and its geodesic spray.
 
     metric(z): (..., d) -> (..., d, d);  spray(y, v): chart coordinates of
     one shape (numpy scalars or arrays; real in 1D, complex in 2D) -> the
@@ -50,7 +49,6 @@ class Metric:
     """
 
     dim: int
-    kind: str
     metric: Callable[[np.ndarray], np.ndarray]
     spray: Callable
 
@@ -66,7 +64,7 @@ def flat_metric(dim: int) -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.broadcast_to(eye, z.shape[:-1] + (dim, dim)).copy()
 
-    return Metric(dim, "flat", g, lambda y, v: np.zeros_like(v))
+    return Metric(dim, g, lambda y, v: np.zeros_like(v))
 
 
 def exp_metric_1d() -> Metric:
@@ -78,45 +76,30 @@ def exp_metric_1d() -> Metric:
         z = np.asarray(z, dtype=np.float64)
         return np.exp(2.0 * z)[..., None]
 
-    return Metric(1, "exp1d", g, lambda y, v: -(v * v))
+    return Metric(1, g, lambda y, v: -(v * v))
 
 
-def conformal_metric_2d(
-    lam: Callable[[np.ndarray], np.ndarray] | None = None,
-    grad_lam: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Metric:
-    """g = e^{2 lam(z)} I on the plane; the bundled conformal factor is
-    lam(z) = 0.2 sin(2 pi z1) cos(2 pi z2).  Its Christoffel symbols are
+def conformal_metric_2d() -> Metric:
+    """g = e^{2 lam(z)} I on the plane with lam(z) = 0.2 sin(2 pi z1)
+    cos(2 pi z2).  Its Christoffel symbols are
     Gamma^k_pq = delta_kp d_q lam + delta_kq d_p lam - delta_pq d_k lam, so
     the spray is |v|^2 grad lam - 2 (grad lam . v) v = -conj(grad lam) v^2."""
-    if lam is None:
+    # conj(grad lam) = 0.2 pi (1 - i)(cos(a + b) + i cos(a - b)), a, b =
+    # 2 pi y1, 2 pi y2: one cos of the real and imaginary parts of
+    # 2 pi (1 - i) y = (a + b) + i (b - a)
+    turn, scale = 2 * np.pi * (1 - 1j), 0.2 * np.pi * (1 - 1j)
 
-        def lam(z):
-            return 0.2 * np.sin(2 * np.pi * z[..., 0]) * np.cos(2 * np.pi * z[..., 1])
-
-        # conj(grad lam) = 0.2 pi (1 - i)(cos(a + b) + i cos(a - b)), a, b =
-        # 2 pi y1, 2 pi y2: one cos of the real and imaginary parts of
-        # 2 pi (1 - i) y = (a + b) + i (b - a)
-        turn, scale = 2 * np.pi * (1 - 1j), 0.2 * np.pi * (1 - 1j)
-
-        def spray(y, v):
-            return -(scale * _chart(np.cos(_real(turn * y)), 2) * v) * v
-
-    elif grad_lam is None:
-        raise ValueError("a custom lam needs its grad_lam")
-    else:
-
-        def spray(y, v):
-            return -(np.conj(_chart(grad_lam(_real(y)), 2)) * v) * v
+    def spray(y, v):
+        return -(scale * _chart(np.cos(_real(turn * y)), 2) * v) * v
 
     eye = np.eye(2)
 
     def g(z):
         z = np.asarray(z, dtype=np.float64)
-        factor = np.exp(2.0 * lam(z))
-        return factor[..., None, None] * eye
+        lam = 0.2 * np.sin(2 * np.pi * z[..., 0]) * np.cos(2 * np.pi * z[..., 1])
+        return np.exp(2.0 * lam)[..., None, None] * eye
 
-    return Metric(2, "conformal2d", g, spray)
+    return Metric(2, g, spray)
 
 
 def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:

@@ -48,10 +48,6 @@ class GridSpec:
     def num_points(self) -> int:
         return self.size**self.dim
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.size
-
     def axis_coordinates(self) -> np.ndarray:
         return np.arange(self.size) / self.size
 
@@ -351,24 +347,16 @@ def _half_modes(dim: int, size: int) -> np.ndarray:
     return modes
 
 
-def random_field(
-    spec: GridSpec,
-    s: float,
-    seed: int,
-    decay: float | None = None,
-    components: int = 1,
-) -> Spectrum:
-    """Seeded random field with coefficient decay (1+|k|^2)^{-(s+decay)/2}.
+def random_field(spec: GridSpec, s: float, seed: int, components: int = 1) -> Spectrum:
+    """Seeded random field with coefficient decay (1+|k|^2)^{-(s+decay)/2},
+    decay = 0.6 on T^1 and 1.1 on T^2 (above dim/2, so the field lies in H^s).
 
     Each conjugate mode pair carries an independent standard complex
     Gaussian, so E|fhat_k|^2 = (1+|k|^2)^{-(s+decay)}.  Modes are drawn in a
     resolution-stable order (see _half_modes), the Nyquist slots stay zero,
     and the same seed always reproduces the same field bit for bit.
     """
-    if decay is None:
-        decay = 0.6 if spec.dim == 1 else 1.1
-    if decay <= spec.dim / 2:
-        raise ValueError(f"decay must exceed dim/2 = {spec.dim / 2}, got {decay}")
+    decay = 0.6 if spec.dim == 1 else 1.1
     rng = np.random.default_rng(seed)
     pos = _half_modes(spec.dim, spec.size)  # (M, dim)
     ksq = np.sum(pos * pos, axis=1, dtype=np.float64)

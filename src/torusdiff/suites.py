@@ -82,10 +82,10 @@ def _cosine_field(spec: GridSpec, k: int, amplitude: float = 1.0) -> GridFunctio
 
 
 def random_certified_displacement(
-    spec: GridSpec, seed: int, modes: int, amplitude: float, s: float = 3.0
+    spec: GridSpec, seed: int, modes: int, amplitude: float
 ) -> Spectrum:
-    """Band-limited random displacement scaled to sup|du|_op = amplitude."""
-    w = random_field(spec, s, seed, components=spec.dim)
+    """Band-limited random H^3 displacement scaled to sup|du|_op = amplitude."""
+    w = random_field(spec, 3.0, seed, components=spec.dim)
     w = fourier_truncate(w, modes)
     top = gradient_sup(w)
     if top == 0.0:
@@ -211,7 +211,6 @@ def run_algebra(params: dict) -> SuiteResult:
 def run_quotient_rule(params: dict) -> SuiteResult:
     p = {
         "size": 128,
-        "dim": 1,
         "epsilon": 0.5,
         "seed": 21,
         "tol_bundled": 1e-8,
@@ -219,7 +218,7 @@ def run_quotient_rule(params: dict) -> SuiteResult:
         "tol_random_scale": 1e-6,
     }
     _apply_params(p, params, "tol_bundled", "tol_closure", "tol_random_scale")
-    spec = GridSpec(p["dim"], p["size"])
+    spec = GridSpec(1, p["size"])
     x = spec.axis_coordinates()
     bundled = GridFunction(spec, (0.2 * np.sin(TWO_PI * x))[None])
     res_bundled = quotient_rule_residual(bundled, bundled, p["epsilon"])
@@ -323,19 +322,16 @@ def _bundled_calculus_data(spec: GridSpec):
 def run_taylor_identity(params: dict) -> SuiteResult:
     p = {
         "size": 256,
-        "dim": 1,
         "r_values": [1, 2],
         "s": 2.0,
         "tol_scale": 1e-7,
     }
     _apply_params(p, params, "tol_scale")
-    spec = GridSpec(p["dim"], p["size"])
+    spec = GridSpec(1, p["size"])
     u, phi, du, dphi = _bundled_calculus_data(spec)
-    trials = []
-    for r in p["r_values"]:
-        defect = calculus.taylor_defect(u, phi, du, dphi, r)
-        tol = p["tol_scale"] * (1.0 + hs_norm(u, p["s"] + r))
-        trials.append({"r": r, "defect": defect, "tol": tol})
+    defects = calculus.taylor_defect(u, phi, du, dphi, p["r_values"])
+    trials = [{"r": r, "defect": defect, "tol": p["tol_scale"] * (1.0 + hs_norm(u, p["s"] + r))}
+              for r, defect in zip(p["r_values"], defects)]
     passed = all(t["defect"] < t["tol"] for t in trials)
     aggregate = {"max_defect": max(t["defect"] for t in trials)}
     return p, trials, aggregate, passed
@@ -344,14 +340,13 @@ def run_taylor_identity(params: dict) -> SuiteResult:
 def run_taylor_order(params: dict) -> SuiteResult:
     p = {
         "size": 256,
-        "dim": 1,
         "r_values": [1, 2],
         "seeds": [101, 102, 103],
         "s": 2.0,
         "slope_margin": 0.9,
     }
     _apply_params(p, params, "slope_margin")
-    spec = GridSpec(p["dim"], p["size"])
+    spec = GridSpec(1, p["size"])
     u, phi, _, _ = _bundled_calculus_data(spec)
     by_seed = []  # per seed, a record per r: the orders share the seed's path maps
     for seed in p["seeds"]:
@@ -377,13 +372,12 @@ def run_taylor_order(params: dict) -> SuiteResult:
 def run_inverse_differential(params: dict) -> SuiteResult:
     p = {
         "size": 256,
-        "dim": 1,
         "amplitude": 0.1,
         "eps": [1e-3, 5e-4],
         "ratio_band": [3.5, 4.5],
     }
     _apply_params(p, params, "eps", "ratio_band")
-    spec = GridSpec(p["dim"], p["size"])
+    spec = GridSpec(1, p["size"])
     phi = make_diffeo(_sine_displacement(spec, p["amplitude"]))
     psi = invert(phi)
     dphi = _cosine_field(spec, 1)
@@ -403,7 +397,6 @@ def run_inverse_differential(params: dict) -> SuiteResult:
 def run_lipschitz(params: dict) -> SuiteResult:
     p = {
         "size": 128,
-        "dim": 1,
         "s": 2.0,
         "trials": 50,
         "seed": 31,
@@ -411,18 +404,15 @@ def run_lipschitz(params: dict) -> SuiteResult:
         "stability": 0.15,
     }
     _apply_params(p, params, "radius", "stability")
-    spec = GridSpec(p["dim"], p["size"])
+    spec = GridSpec(1, p["size"])
     x = spec.axis_coordinates()
     f = forward_transform(
         GridFunction(spec, (np.sin(TWO_PI * x) + 0.3 * np.cos(2 * TWO_PI * x))[None])
     )
     phi0 = make_diffeo(_sine_displacement(spec, 0.05))
-    maxima = {}
-    for radius in (p["radius"], p["radius"] / 2.0):
-        quots = calculus.right_translation_quotients(
-            f, phi0, radius, p["trials"], p["seed"], p["s"]
-        )
-        maxima[radius] = max(quots)
+    radii = (p["radius"], p["radius"] / 2.0)
+    quots = calculus.right_translation_quotients(f, phi0, radii, p["trials"], p["seed"], p["s"])
+    maxima = {radius: max(q) for radius, q in zip(radii, quots)}
     vals = list(maxima.values())
     change = abs(vals[0] - vals[1]) / vals[0]
     passed = change <= p["stability"]
@@ -434,7 +424,6 @@ def run_lipschitz(params: dict) -> SuiteResult:
 def run_loss_of_derivative(params: dict) -> SuiteResult:
     p = {
         "size": 256,
-        "dim": 1,
         "s": 2.0,
         "octaves": 5,
         "base_amplitude": 0.09,
@@ -442,7 +431,7 @@ def run_loss_of_derivative(params: dict) -> SuiteResult:
         "right_band": 0.20,
     }
     _apply_params(p, params, "growth_min", "right_band")
-    spec = GridSpec(p["dim"], p["size"])
+    spec = GridSpec(1, p["size"])
     phi = make_diffeo(_sine_displacement(spec, p["base_amplitude"]))
     dphi_dir = _cosine_field(spec, 1)
     data = calculus.loss_of_derivative_probe(

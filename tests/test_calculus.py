@@ -75,8 +75,20 @@ def test_taylor_identity_exact_orders(bundle):
     """u o phi + sum eta_k / k! + R1 + R2 rebuilds the perturbed composite
     to machine precision for analytic band-limited data."""
     spec, u, phi, du, dphi = bundle
-    for r in (1, 2, 3):
-        assert calculus.taylor_defect(u, phi, du, dphi, r) < 1e-12
+    assert max(calculus.taylor_defect(u, phi, du, dphi, (1, 2, 3))) < 1e-12
+
+
+def test_taylor_defect_orders_share_the_path_and_eta(bundle, monkeypatch):
+    """Orders (1, 2) in one call certify the path maps once and build each
+    eta_k once, and give the two single-order calls' defects bit for bit."""
+    spec, u, phi, du, dphi = bundle
+    single = [calculus.taylor_defect(u, phi, du, dphi, (r,)) for r in (1, 2)]
+    paths, etas = [], []
+    path_diffeo, eta_k = calculus.path_diffeo, calculus.eta_k
+    monkeypatch.setattr(calculus, "path_diffeo", lambda *a: paths.append(a) or path_diffeo(*a))
+    monkeypatch.setattr(calculus, "eta_k", lambda *a: etas.append(a[-1]) or eta_k(*a))
+    assert calculus.taylor_defect(u, phi, du, dphi, (1, 2)) == single[0] + single[1]
+    assert len(paths) == 1 and etas == [1, 2]
 
 
 def test_taylor_identity_2d():
@@ -93,8 +105,7 @@ def test_taylor_identity_2d():
     dphi = GridFunction(
         spec, np.stack([0.01 * np.cos(TWO_PI * X1), 0.01 * np.sin(TWO_PI * X0)])
     )
-    for r in (1, 2):
-        assert calculus.taylor_defect(u, phi, du, dphi, r) < 1e-12
+    assert max(calculus.taylor_defect(u, phi, du, dphi, (1, 2))) < 1e-12
 
 
 def test_remainders_vanish_for_zero_perturbation(bundle):
@@ -114,8 +125,8 @@ def _per_node_remainders(u, phi, du, dphi, r):
     r1 = np.zeros((u.num_components,) + spec.shape)
     r2 = np.zeros((du.num_components,) + spec.shape)
     size = 0.0
-    path1 = [calculus.path_diffeo(phi, dphi, t) for t in ts]
-    path2 = [calculus.path_diffeo(phi, dphi, t) for t in ts]
+    path1 = [calculus.path_diffeo(phi, dphi, [t])[0] for t in ts]
+    path2 = [calculus.path_diffeo(phi, dphi, [t])[0] for t in ts]
     for alpha in calculus._exact_indices(spec.dim, r):
         coeff = r / math.prod(math.factorial(a) for a in alpha)
         mono = calculus._monomial(dphi, alpha)
@@ -221,9 +232,8 @@ def test_remainder_probe_orders_match_single_order_probes(bundle):
 
 def test_path_diffeo_endpoints(bundle):
     spec, u, phi, du, dphi = bundle
-    at0 = calculus.path_diffeo(phi, dphi, 0.0)
+    at0, at1 = calculus.path_diffeo(phi, dphi, [0.0, 1.0])
     assert np.max(np.abs(at0.disp_values - phi.disp_values)) < 1e-14
-    at1 = calculus.path_diffeo(phi, dphi, 1.0)
     assert np.max(np.abs(at1.disp_values - (phi.disp_values + dphi.values))) < 1e-14
 
 
@@ -272,7 +282,7 @@ def test_inv_differential_identity_base():
 def test_right_translation_quotients_bounded(bundle):
     spec, u, phi, du, dphi = bundle
     f = fourier_truncate(random_field(spec, 3.0, 77), 16)
-    quots = calculus.right_translation_quotients(f, phi, 0.05, 10, 31, 2.0)
+    [quots] = calculus.right_translation_quotients(f, phi, [0.05], 10, 31, 2.0)
     assert len(quots) == 10
     assert all(q > 0 for q in quots)
     assert max(quots) < 5.0
@@ -300,16 +310,17 @@ def _per_trial_quotients(f, phi0, radius, trials, seed, s):
 
 def test_right_translation_quotients_match_the_per_trial_loop(bundle):
     """Precision contract of the stacked trials: certification, evaluation,
-    transform and per-row norms over all trials at once give the per-trial
-    loop's quotients bit for bit, in 1D and for a 2-component field on T^2."""
+    transform and per-row norms over all radii and trials at once give the
+    per-radius, per-trial loop's quotients bit for bit, in 1D and for a
+    2-component field on T^2."""
     spec, u, phi, du, dphi = bundle
     f = fourier_truncate(random_field(spec, 3.0, 77), 16)
     spec2 = GridSpec(2, 16)
     f2 = fourier_truncate(random_field(spec2, 3.0, 8, components=2), 4)
     phi2 = make_diffeo(random_certified_displacement(spec2, 6, 3, 0.3))
     for f, phi0, trials in ((f, phi, 12), (f2, phi2, 5)):
-        got = calculus.right_translation_quotients(f, phi0, 0.05, trials, 31, 2.0)
-        assert got == _per_trial_quotients(f, phi0, 0.05, trials, 31, 2.0)
+        got = calculus.right_translation_quotients(f, phi0, (0.05, 0.025), trials, 31, 2.0)
+        assert got == [_per_trial_quotients(f, phi0, r, trials, 31, 2.0) for r in (0.05, 0.025)]
 
 
 def test_loss_probe_growth(bundle):
@@ -342,7 +353,7 @@ def test_loss_probe_matches_the_per_map_loop(bundle):
         base = compose_function(psi, steep).values
         quot = 0.0
         for eps in calculus.EPS_LADDER:
-            phi_eps = calculus.path_diffeo(steep, dphi, eps)
+            [phi_eps] = calculus.path_diffeo(steep, dphi, [eps])
             diff = forward_transform(GridFunction(spec, compose_function(psi, phi_eps).values - base))
             quot = max(quot, hs_norm(diff, 2.0) / (eps * dir_norm))
         assert left == quot

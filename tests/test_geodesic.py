@@ -105,17 +105,30 @@ def custom_metric(dim, g):
         z, w = geodesic._real(y), geodesic._real(v)
         return geodesic._chart(-np.einsum("...kpq,...p,...q->...k", gamma(z), w, w), dim)
 
-    return Metric(dim, "custom", g, spray)
+    return Metric(dim, g, spray)
+
+
+def user_conformal_metric(lam, grad_lam):
+    """A user-built Metric g = e^{2 lam} I with the closed-form conformal
+    spray -conj(grad lam) v^2 on the complex chart coordinate."""
+
+    def g(z):
+        return np.exp(2.0 * lam(z))[..., None, None] * np.eye(2)
+
+    def spray(y, v):
+        return -(np.conj(geodesic._chart(grad_lam(geodesic._real(y)), 2)) * v) * v
+
+    return Metric(2, g, spray)
+
+
+USER_CONFORMAL = user_conformal_metric(_custom_lam, _custom_grad_lam)
 
 
 def test_custom_metric_matches_closed_form_derivative():
     z = np.random.default_rng(3).uniform(-1.5, 2.5, size=(6, 2))
-    for conf in (conformal_metric_2d(), conformal_metric_2d(_custom_lam, _custom_grad_lam)):
+    for conf in (conformal_metric_2d(), USER_CONFORMAL):
         fd = custom_metric(2, conf.metric)
         assert np.max(np.abs(christoffel(conf, z) - christoffel(fd, z))) < 1e-6
-
-
-USER_CONFORMAL = conformal_metric_2d(_custom_lam, _custom_grad_lam)
 
 
 def _conformal_gamma(grad_lam):

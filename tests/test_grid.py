@@ -40,12 +40,11 @@ def test_grid_spec_shapes():
     spec = GridSpec(2, 16)
     assert spec.shape == (16, 16)
     assert spec.num_points == 256
-    assert spec.spacing == 1.0 / 16
     pts = spec.points()
     assert pts.shape == (256, 2)
     # C-order: the second coordinate varies fastest
     assert pts[1, 0] == pts[0, 0]
-    assert pts[1, 1] == pytest.approx(spec.spacing)
+    assert pts[1, 1] == pytest.approx(1.0 / 16)
 
 
 @pytest.mark.parametrize("dim,size", [(3, 16), (1, 15), (1, 4), (0, 16)])
@@ -528,13 +527,6 @@ def test_random_field_matches_mode_loop(dim, size, components):
         want = random_field_by_mode_loop(spec, 1.5, seed, components)
         got = random_field(spec, 1.5, seed, components=components).coeffs
         assert np.array_equal(got, want)
-
-
-def test_random_field_rejects_weak_decay():
-    with pytest.raises(ValueError):
-        random_field(GridSpec(1, 32), 1.0, 0, decay=0.5)
-    with pytest.raises(ValueError):
-        random_field(GridSpec(2, 16), 1.0, 0, decay=1.0)
 
 
 def test_random_field_components():

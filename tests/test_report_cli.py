@@ -33,6 +33,7 @@ from torusdiff.suites import (
     normalize_params,
     parse_config,
     random_certified_displacement,
+    run_all,
     run_suite,
 )
 
@@ -427,6 +428,27 @@ def test_suites_reject_a_non_positive_tolerance(no_work, name, key, value):
 def test_every_suite_rejects_an_unknown_param(no_work, name):
     with pytest.raises(ValueError, match="unknown parameter 'trails'"):
         run_suite(name, {"trails": 1})
+
+
+# the suites that take `dim`, at small T^2 sizes; every other suite is T^1 only
+T2_PARAMS = {
+    "norm-equivalence": {"size": 16, "trials": 5},
+    "embedding": {"s": 1.5, "size": 16, "trials": 5},  # the sup bound needs s > dim/2
+    "algebra": {"sizes": [16, 32], "trials": 5},
+    "group": {"size": 16, "trials": 2},
+}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_t2_runs_where_a_suite_takes_dim(name):
+    reports, summary = run_all({"suites": [{"suite": name, "dim": 2, **T2_PARAMS.get(name, {})}]})
+    if name in T2_PARAMS:
+        [report] = reports
+        assert report.passed and report.params["dim"] == 2
+    else:
+        assert not reports and summary["suites"][0]["error"].startswith(
+            "unknown parameter 'dim'; known: ["
+        )
 
 
 # ---------------------------------------------------------------------------
