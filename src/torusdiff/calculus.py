@@ -21,13 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import multiply
-from .diffeo import Diffeo, certify_stack, compose_function, invert, solve_jacobian
+from .diffeo import Diffeo, certify_stack, compose_function, compose_stack, invert, solve_jacobian
 from .grid import (
     GridFunction,
     Spectrum,
     _trusted,
     differentiate_multi,
-    evaluate,
     forward_transform,
     inverse_transform,
     random_field,
@@ -118,7 +117,7 @@ def taylor_remainder(
 
     The Gauss-Legendre path maps (`path`, else certified here in one call)
     and d^a u, d^a du for every |a| = r, stacked as one spectrum, meet in
-    one evaluation at all nodes' point images; each multi-index's weighted
+    one compose_stack at phi and every node; each multi-index's weighted
     node sum meets dphi^a in one dealiased product (the product is linear,
     so only the order of summation changes).
     """
@@ -135,9 +134,8 @@ def taylor_remainder(
         Spectrum, spec, np.concatenate([differentiate_multi(both, al).coeffs for al in alphas])
     )
     rows = (len(alphas), 2, u.num_components) + spec.shape
-    base = compose_function(stack, phi).values.reshape(rows)[:, 0]
-    at_nodes = evaluate(stack, np.concatenate([m.point_images() for m in path]))
-    at_nodes = np.moveaxis(at_nodes.reshape(rows[:3] + (-1,) + spec.shape), 3, 0)  # node first
+    at_phi, *at_nodes = compose_stack(stack, [phi, *path]).reshape((-1,) + rows)
+    base = at_phi[:, 0]
     node_sum = np.zeros_like(base)
     for t, w, vals in zip(ts, ws, at_nodes):
         bracket = (vals[:, 0] - base) + vals[:, 1]
@@ -216,27 +214,23 @@ def remainder_order_probe(
     return records
 
 
-def inv_differential(phi: Diffeo, dphi: GridFunction, psi: Diffeo | None = None) -> GridFunction:
-    """Derivative of the inversion map phi -> phi^{-1} applied to dphi:
+def inv_differential(phi: Diffeo, dphi: GridFunction, psi: Diffeo) -> GridFunction:
+    """Derivative of the inversion map phi -> phi^{-1} applied to dphi, with
+    psi = invert(phi):
 
         d inv(phi) dphi = -[(d phi)^{-1} dphi] o phi^{-1}.
     """
-    if psi is None:
-        psi = invert(phi)
     n = phi.dim
     spec = phi.spec
     jac = phi.jacobian.reshape(n * n, -1)
     solved = solve_jacobian(jac, dphi.values.reshape(n, -1))
     b_spec = forward_transform(GridFunction(spec, solved.reshape((n,) + spec.shape)))
-    pulled = evaluate(b_spec, psi.point_images())
-    return GridFunction(spec, -pulled.reshape((n,) + spec.shape))
+    return GridFunction(spec, -compose_stack(b_spec, [psi])[0])
 
 
-def inv_differential_fd_error(
-    phi: Diffeo, dphi: GridFunction, eps: float, psi: Diffeo | None = None
-) -> float:
-    """Sup distance between d inv(phi) dphi and a centred difference of the
-    inversion map with step eps; decays like eps^2 for smooth data."""
+def inv_differential_fd_error(phi: Diffeo, dphi: GridFunction, eps: float, psi: Diffeo) -> float:
+    """Sup distance between d inv(phi) dphi (psi = invert(phi)) and a centred
+    difference of the inversion map with step eps; decays like eps^2 for smooth data."""
     formula = inv_differential(phi, dphi, psi=psi)
     plus, minus = (invert(m) for m in path_diffeo(phi, dphi, (eps, -eps)))
     fd = (plus.disp_values - minus.disp_values) / (2.0 * eps)
@@ -254,16 +248,14 @@ def right_translation_quotients(
     """Lipschitz quotients ||f o phi - f o phi0||_s / (||f||_{s+1} ||phi - phi0||_s)
     over random certified phi on the H^s sphere of each radius in `radii`:
     one list per radius, the same `trials` random directions for every radius."""
-    spec, c, maps = phi0.spec, f.num_components, len(radii) * trials
-    base = compose_function(f, phi0)
+    spec, maps = phi0.spec, len(radii) * trials
     fnorm = hs_norm(f, s + 1.0)
     ws = [random_field(spec, s, seed + 1000 * i, components=spec.dim) for i in range(trials)]
     norms = [hs_norm(w, s) for w in ws]
     steps = np.concatenate([(radius / n) * w.coeffs for radius in radii for w, n in zip(ws, norms)])
     step = inverse_transform(_trusted(Spectrum, spec, steps))
-    pulled = evaluate(f, np.concatenate([m.point_images() for m in path_diffeo(phi0, step, [1.0])]))
-    diffs = pulled.reshape((c, maps) + spec.shape) - base.values[:, None]
-    stacked = diffs.swapaxes(0, 1).reshape((-1,) + spec.shape)  # rows (radius, trial, c)
+    base, *pulled = compose_stack(f, [phi0, *path_diffeo(phi0, step, [1.0])])
+    stacked = (np.array(pulled) - base).reshape((-1,) + spec.shape)  # rows (radius, trial, c)
     quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, stacked)), s, maps)
     return [[float(q / (fnorm * radius)) for q in row]
             for radius, row in zip(radii, quots.reshape(len(radii), trials))]
@@ -292,9 +284,11 @@ def loss_of_derivative_probe(
     spec = phi.spec
     if spec.dim != 1:
         raise ValueError("the octave probe is built on dim == 1 grids")
+    if octaves < 2:
+        raise ValueError(f"'octaves' must be >= 2 to give a growth factor, got {octaves}")
     dir_norm = hs_norm(forward_transform(dphi_dir), s)
     left, right = [], []
-    path_pts = np.concatenate([m.point_images() for m in path_diffeo(phi, dphi_dir, EPS_LADDER)])
+    maps = [phi, *path_diffeo(phi, dphi_dir, EPS_LADDER)]
     eps_scale = np.array(EPS_LADDER) * dir_norm
     for j in range(1, octaves + 1):
         k = 2**j
@@ -306,11 +300,11 @@ def loss_of_derivative_probe(
         coeffs[0, k] = amp / (2.0 * 1j)
         coeffs[0, -k] = -amp / (2.0 * 1j)
         psi_j = Spectrum(spec, coeffs)
-        base = compose_function(psi_j, phi)
-        diffs = evaluate(psi_j, path_pts).reshape((-1,) + spec.shape) - base.values
+        base, *at_eps = compose_stack(psi_j, maps)
+        diffs = (np.array(at_eps) - base).reshape((-1,) + spec.shape)
         quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, diffs)), s, len(diffs))
         left.append(float(max(0.0, *(quots / eps_scale))))
-        right.append(float(hs_norm(forward_transform(base), s)))
+        right.append(float(hs_norm(forward_transform(GridFunction(spec, base)), s)))
     growth = [b / a for a, b in zip(left, left[1:])]
     return {
         "octaves": list(range(1, octaves + 1)),

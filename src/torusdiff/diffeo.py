@@ -36,6 +36,7 @@ from .grid import (
 
 CERT_REFINE = 4
 DEFAULT_MIN_DET = 0.05
+NEWTON_HALVINGS = 5  # step halvings per Newton sweep while a residual grows
 
 
 class DiffeoError(ValueError):
@@ -85,11 +86,6 @@ class Diffeo:
         """Mean of u along each axis (the k=0 Fourier coefficient)."""
         zero = (slice(None),) + (0,) * self.dim
         return self.displacement.coeffs[zero].real.copy()
-
-    def point_images(self) -> np.ndarray:
-        """phi evaluated at all grid points, shape (num_points, n)."""
-        pts = self.spec.points()
-        return pts + self.disp_values.reshape(self.dim, -1).T
 
 
 def _displacement_gradient(u: Spectrum) -> Spectrum:
@@ -193,12 +189,23 @@ def identity_diffeo(spec: GridSpec) -> Diffeo:
     return make_diffeo(zero)
 
 
-def compose_function(f: Spectrum, phi: Diffeo) -> GridFunction:
-    """Pullback f o phi sampled on phi's grid (exact trigonometric f)."""
-    if f.spec.dim != phi.dim:
+def compose_stack(f: Spectrum, maps) -> np.ndarray:
+    """Pullbacks f o phi for every phi in `maps` (one grid), sampled on that
+    grid from one evaluation at all the maps' point images, map by map:
+    shape (len(maps), components, *shape)."""
+    spec = maps[0].spec
+    if f.spec.dim != spec.dim:
         raise ValueError("dimension mismatch between field and diffeomorphism")
-    vals = evaluate(f, phi.point_images())
-    return GridFunction(phi.spec, vals.reshape((f.num_components,) + phi.spec.shape))
+    pts = spec.points()
+    images = np.concatenate([pts + m.disp_values.reshape(spec.dim, -1).T for m in maps])
+    vals = evaluate(f, images).reshape((f.num_components, len(maps)) + spec.shape)
+    return np.moveaxis(vals, 1, 0)
+
+
+def compose_function(f: Spectrum, phi: Diffeo) -> GridFunction:
+    """Pullback f o phi sampled on phi's grid (exact trigonometric f): the
+    one-map case of compose_stack."""
+    return GridFunction(phi.spec, compose_stack(f, [phi])[0])
 
 
 def compose_diffeo(outer: Diffeo, inner: Diffeo) -> Diffeo:
@@ -214,16 +221,11 @@ def compose_diffeo(outer: Diffeo, inner: Diffeo) -> Diffeo:
     )
 
 
-def invert(
-    phi: Diffeo,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    max_halvings: int = 5,
-) -> Diffeo:
+def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
     """Pointwise Newton inversion of phi on its grid, re-certified.
 
     Solves phi(x) = y for every grid point y with x0 = y, halving a point's
-    step (up to max_halvings times per sweep) while its residual would grow.
+    step (up to NEWTON_HALVINGS times per sweep) while its residual would grow.
     The first sweep reads u(y) and d phi(y) from phi's stored grid values;
     later sweeps evaluate only at points whose last step was >= tol.  The
     final map id + v interpolates x - y and satisfies
@@ -249,7 +251,7 @@ def invert(
         step = solve_jacobian(jac_pts, r[:, active])
         start, limit = x[:, active], np.maximum(rnorm[active], 10.0 * tol)
         todo = np.arange(len(active))  # steps whose residual may still grow
-        for halving in range(max_halvings + 1):
+        for halving in range(NEWTON_HALVINGS + 1):
             if halving:
                 step[:, todo] /= 2.0
             at = active[todo]
@@ -281,7 +283,7 @@ def chain_rule_residual(f: Spectrum, phi: Diffeo) -> float:
     pointwise, so the defect measures pure aliasing.
     """
     comp = forward_transform(compose_function(f, phi))
-    df = evaluate(_displacement_gradient(f), phi.point_images())
+    df = compose_stack(_displacement_gradient(f), [phi])  # rows (c, j)
     df_at_phi = df.reshape((f.num_components, phi.dim) + phi.spec.shape)
     worst = 0.0
     for axis in range(phi.dim):
@@ -291,10 +293,9 @@ def chain_rule_residual(f: Spectrum, phi: Diffeo) -> float:
     return worst
 
 
-def inverse_derivative_residual(phi: Diffeo, psi: Diffeo | None = None) -> float:
-    """Max grid defect of d(phi^{-1} - id) = ((d phi)^{-1} - I) o phi^{-1}."""
-    if psi is None:
-        psi = invert(phi)
+def inverse_derivative_residual(phi: Diffeo, psi: Diffeo) -> float:
+    """Max grid defect of d(phi^{-1} - id) = ((d phi)^{-1} - I) o phi^{-1},
+    with psi = invert(phi)."""
     n = phi.dim
     spec = phi.spec
     lhs = inverse_transform(_displacement_gradient(psi.displacement)).values
@@ -306,5 +307,5 @@ def inverse_derivative_residual(phi: Diffeo, psi: Diffeo | None = None) -> float
     b_spec = forward_transform(
         GridFunction(spec, b_entries.reshape((n * n,) + spec.shape))
     )
-    rhs = evaluate(b_spec, psi.point_images())
-    return float(np.max(np.abs(lhs.reshape(n * n, -1) - rhs)))
+    rhs = compose_stack(b_spec, [psi])[0]
+    return float(np.max(np.abs(lhs - rhs)))

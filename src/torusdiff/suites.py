@@ -52,12 +52,15 @@ SuiteResult = tuple[dict, list, dict, bool]
 
 def _apply_params(p: dict, params: dict, *tolerances: str):
     """Override a suite's defaults `p` in place; a key it lacks raises, and so
-    does a `tolerances` entry that is not positive."""
+    do an empty list and a `tolerances` entry that is not positive."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
         raise ValueError(f"unknown parameter {names}; known: {sorted(p)}")
     p.update(params)
+    empty = [key for key, value in p.items() if isinstance(value, (list, tuple)) and not value]
+    if empty:
+        raise ValueError(f"parameter {empty[0]!r} must not be an empty list")
     _require_positive(p, tolerances)
 
 
@@ -177,6 +180,8 @@ def run_algebra(params: dict) -> SuiteResult:
         "k_max": None,
     }
     _apply_params(p, params, "stability")
+    if len(set(p["sizes"])) < 2:
+        raise ValueError(f"parameter 'sizes' needs two distinct sizes, got {p['sizes']}")
     envelopes = {}
     trials = []
     for size in p["sizes"]:

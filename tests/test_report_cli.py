@@ -430,6 +430,28 @@ def test_every_suite_rejects_an_unknown_param(no_work, name):
         run_suite(name, {"trails": 1})
 
 
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("norm-equivalence", {"s_values": []}, "s_values"),
+        ("taylor-order", {"seeds": []}, "seeds"),
+        ("taylor-order", {"r_values": []}, "r_values"),
+        ("inverse-differential", {"eps": []}, "eps"),
+        ("loss-of-derivative", {"octaves": 0}, "octaves"),
+        ("loss-of-derivative", {"octaves": 1}, "octaves"),
+        ("algebra", {"sizes": [64]}, "sizes"),
+        ("algebra", {"sizes": [64, 64]}, "sizes"),
+    ],
+)
+def test_a_config_that_leaves_nothing_to_check_fails(name, params, key):
+    """An empty list, one octave (no growth factor) or one algebra size (no
+    spread) would pass with nothing checked: the suite fails, naming the key."""
+    reports, summary = run_all({"suites": [{"suite": name, **params}]})
+    [entry] = summary["suites"]
+    assert not reports and summary["pass"] is False and entry["pass"] is False
+    assert repr(key) in entry["error"]
+
+
 # the suites that take `dim`, at small T^2 sizes; every other suite is T^1 only
 T2_PARAMS = {
     "norm-equivalence": {"size": 16, "trials": 5},

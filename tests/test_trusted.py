@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdiff import calculus
+from torusdiff import calculus, diffeo
 from torusdiff.calculus import taylor_remainder
 from torusdiff.diffeo import _displacement_gradient, make_diffeo
 from torusdiff.grid import (
@@ -105,20 +105,23 @@ def test_taylor_remainder_stacks(dim_size, r, seed):
     du = forward_transform(_real_field(spec, 2, seed + 3))
     both, stacks, evals = [], [], []  # the stacked (u, du), its stacked d^a, |a| = r
     with pytest.MonkeyPatch.context() as mp:
-        diff, comp = calculus.differentiate_multi, calculus.compose_function
-        ev = calculus.evaluate
+        diff, comp, ev = calculus.differentiate_multi, calculus.compose_stack, diffeo.evaluate
         mp.setattr(calculus, "differentiate_multi", lambda F, a: both.append(F) or diff(F, a))
-        mp.setattr(calculus, "compose_function", lambda F, phi: stacks.append(F) or comp(F, phi))
-        mp.setattr(calculus, "evaluate", lambda F, pts: evals.append((F, pts)) or ev(F, pts))
+        mp.setattr(calculus, "compose_stack", lambda F, ms: stacks.append((F, ms)) or comp(F, ms))
+        mp.setattr(diffeo, "evaluate", lambda F, pts: evals.append((F, pts)) or ev(F, pts))
         taylor_remainder(u, phi, du, dphi, r)
     alphas = r + 1 if spec.dim == 2 else 1
     assert len(both) == alphas and all(F is both[0] for F in both)
     _assert_trusted(both[0], Spectrum, spec, 4)
-    # one stack, composed with phi once and evaluated once at every node's
-    # point images, node after node (16 * P points)
-    assert len(stacks) == 1 and len(evals) == 1 and evals[0][0] is stacks[0]
-    _assert_trusted(stacks[0], Spectrum, spec, alphas * 4)
+    # one stack, composed once with phi and every node's map, in one evaluate
+    # at their point images: phi's first, then node after node (17 * P points)
+    assert len(stacks) == 1 and len(evals) == 1 and evals[0][0] is stacks[0][0]
+    _assert_trusted(stacks[0][0], Spectrum, spec, alphas * 4)
+    maps = stacks[0][1]
     path = calculus.path_diffeo(phi, dphi, calculus._gauss_legendre_01(calculus.GL_NODES)[0])
-    nodes = np.concatenate([m.point_images() for m in path])
-    assert evals[0][1].shape == (calculus.GL_NODES * spec.num_points, spec.dim)
-    assert evals[0][1].tobytes() == nodes.tobytes()
+    assert len(maps) == calculus.GL_NODES + 1 and maps[0] is phi
+    assert all(m.disp_values.tobytes() == p.disp_values.tobytes() for m, p in zip(maps[1:], path))
+    images = np.concatenate([spec.points() + m.disp_values.reshape(spec.dim, -1).T
+                             for m in [phi, *path]])
+    assert evals[0][1].shape == ((calculus.GL_NODES + 1) * spec.num_points, spec.dim)
+    assert evals[0][1].tobytes() == images.tobytes()
