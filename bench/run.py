@@ -1,0 +1,98 @@
+"""Micro-timings of torusdiff's primitives, one process, single-threaded.
+
+    python3 bench/run.py --out BENCH_2.json
+
+Times `grid.evaluate` on fixed seeded inputs (the rows below) and writes
+one JSON record: machine info, then per row the median and quartiles of
+the seconds per call over RUNS runs (each run times enough calls to last
+about 0.2 s).  BLAS and OpenMP are pinned to one thread before numpy
+is imported, so rows measure the code, not the thread pool.  It imports
+torusdiff from the `src/` next to this directory; to measure another
+checkout, copy this file into that checkout's `bench/` and run it there.
+Not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import timeit
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from torusdiff.grid import GridSpec, evaluate, fourier_truncate, random_field  # noqa: E402
+
+RUNS = 9  # timed runs per row
+
+# (row name, dim, grid size N, number of points, band cutoff or None for full band)
+EVALUATE_ROWS = [
+    ("evaluate/1d-N256-P256", 1, 256, 256, None),
+    ("evaluate/2d-N64-P4096", 2, 64, 4096, None),
+    ("evaluate/2d-N64-P4096-band4", 2, 64, 4096, 4),
+    ("evaluate/2d-N128-P16384", 2, 128, 16384, None),
+]
+
+
+def machine() -> dict:
+    model = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {
+        "platform": platform.platform(),
+        "cpu_model": model or platform.processor(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": {var: os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
+def time_row(fn, runs: int) -> dict:
+    fn()  # warm-up: first-call allocations and imports
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    per_call = sorted(t / number for t in timer.repeat(repeat=runs, number=number))
+    q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs": runs, "calls_per_run": number}
+
+
+def evaluate_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, dim, size, num_points, band in EVALUATE_ROWS:
+        spec = GridSpec(dim, size)
+        F = random_field(spec, 2.0, 1, components=dim)
+        if band is not None:
+            F = fourier_truncate(F, band)
+        pts = np.random.default_rng(1).uniform(0.0, 1.0, (num_points, dim))
+        row = time_row(lambda: evaluate(F, pts), runs)
+        row.update(dim=dim, size=size, points=num_points, components=dim, band=band)
+        out[name] = row
+        print(f"{name:32s} median {row['median_s'] * 1e3:9.3f} ms  "
+              f"(q1 {row['q1_s'] * 1e3:.3f}, q3 {row['q3_s'] * 1e3:.3f}, n={runs})")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=None, help="JSON record path")
+    args = parser.parse_args(argv)
+    record = {"machine": machine(), "rows": evaluate_rows()}
+    if args.out:
+        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -187,16 +187,29 @@ def inverse_transform(F: Spectrum) -> GridFunction:
 
 
 def _extend_axis(coeffs: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Reorder one FFT axis to -N/2..N/2, halving the Nyquist slot at both ends."""
+    """Reorder one FFT axis to -M/2..M/2 (M = size <= the axis length N),
+    halving both ends: the Nyquist slot when M = N, zero slots when M < N."""
     half = size // 2
-    ext = np.take(coeffs, np.arange(-half, half + 1) % size, axis=axis)
+    ext = np.take(coeffs, np.arange(-half, half + 1) % coeffs.shape[axis], axis=axis)
     ext[(slice(None),) * axis + ([0, -1],)] *= 0.5
     return ext
 
 
-# Points per block in `evaluate`: bounds the phase tables to
-# O(_BLOCK_POINTS * N) complex entries whatever the number of points.
+# Points per block in `evaluate`: bounds the phase tables to O(_BLOCK_POINTS
+# * M) complex entries (M = the band, _band_size) whatever the point count.
 _BLOCK_POINTS = 512
+
+
+def _band_size(coeffs: np.ndarray, size: int) -> int:
+    """Smallest even M = 2 max|k| + 2 whose band |k| < M/2 holds every nonzero
+    coefficient, or N: the outermost shell is tested first, so full-band
+    spectra cost no scan."""
+    shell = slice(size // 2 - 1, size // 2 + 2)
+    if coeffs[:, shell].any() or coeffs[..., shell].any():
+        return size
+    kabs = np.minimum(np.arange(size), size - np.arange(size))  # |k| per slot
+    used = np.nonzero(np.any(coeffs, axis=0))
+    return 2 * max(int(kabs[i].max(initial=0)) for i in used) + 2
 
 
 def _factor_sizes(size: int) -> tuple[int, int]:
@@ -245,12 +258,14 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
     slots split evenly between k = -N/2 and k = N/2) by at most
     1e-13 * sum_k |fhat_k| per component, for points anywhere in
     [-1, 2]^dim.  Points are processed in blocks of at most 512, so the
-    per-block temporaries stay O(512 * N * d) whatever P is.
+    per-block temporaries stay O(512 * M * d) whatever P is.
 
-    Cost model: two complex exponentials per point and axis (_phases).  1D
-    builds no (P, N/2+1) phase table: the folded coefficients, laid out by
-    k = a*b + c, meet the fine factor in one GEMM, then the coarse factor.
-    2D runs one GEMM over the k_2 table, then contracts k_1 point by point.
+    Cost model: the sum runs over the spectrum's band M (_band_size), so
+    the cost scales with M, not N.  Two complex exponentials per point and
+    axis (_phases).  1D builds no (P, M/2+1) phase table: the folded
+    coefficients, laid out by k = a*b + c, meet the fine factor in one
+    GEMM, then the coarse factor.  2D runs one GEMM over the k_2 table,
+    then contracts k_1 point by point.
     """
     spec = F.spec
     pts = np.asarray(points, dtype=np.float64)
@@ -258,38 +273,39 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
         pts = pts[:, None]
     if pts.shape[1] != spec.dim:
         raise ValueError(f"points must have {spec.dim} columns, got {pts.shape}")
-    half = spec.size // 2
+    size = _band_size(F.coeffs, spec.size)
+    half = size // 2
     d = F.num_components
     ext = F.coeffs
     for ax in spec.spatial_axes():
-        ext = _extend_axis(ext, ax, spec.size)  # (d, N+1[, N+1]), k = -N/2..N/2
+        ext = _extend_axis(ext, ax, size)  # (d, M+1[, M+1]), k = -M/2..M/2
     # Re(c_k e_k) = Re(conj(c_k) e_{-k}): folding each term with k_1 < 0 onto
-    # -k leaves the real part unchanged and halves the sum to k_1 = 0..N/2;
+    # -k leaves the real part unchanged and halves the sum to k_1 = 0..M/2;
     # the k_1 = 0 terms fold onto each other, hence that row is halved.
     flip = (slice(None),) + (slice(None, None, -1),) * spec.dim
     fold = (ext + np.conj(ext[flip]))[:, half:]
     fold[:, 0] /= 2.0
     if spec.dim == 1:
         # zero-pad k_1 to A*b slots and lay them out as (c, (d, a))
-        A, b = _factor_sizes(spec.size)
+        A, b = _factor_sizes(size)
         pad = np.zeros((d, A * b), dtype=np.complex128)
         pad[:, : half + 1] = fold
         fold = pad.reshape(d, A, b).transpose(2, 0, 1).reshape(b, d * A)
     else:
-        fold = fold.transpose(2, 0, 1).reshape(spec.size + 1, -1)  # (k_2, (d, k_1))
+        fold = fold.transpose(2, 0, 1).reshape(size + 1, -1)  # (k_2, (d, k_1))
     out = np.empty((d, pts.shape[0]))
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
         block = pts[start : start + _BLOCK_POINTS]
         if spec.dim == 1:
-            coarse, fine = _phases(block[:, 0], spec.size)
+            coarse, fine = _phases(block[:, 0], size)
             inner = (fine @ fold).reshape(len(block), d, -1)  # (P, d, a)
             vals = inner @ coarse[:, :, None]
         else:
-            ph1 = _phase_table(block[:, 1], spec.size)
-            # k_2 = -N/2..N/2
+            ph1 = _phase_table(block[:, 1], size)
+            # k_2 = -M/2..M/2
             ph1 = np.concatenate([np.conj(ph1[:, :0:-1]), ph1], axis=1)
             inner = (ph1 @ fold).reshape(len(block), d, half + 1)  # (P, d, k_1)
-            vals = inner @ _phase_table(block[:, 0], spec.size)[:, :, None]
+            vals = inner @ _phase_table(block[:, 0], size)[:, :, None]
         out[:, start : start + _BLOCK_POINTS] = vals[:, :, 0].real.T
     return out
 

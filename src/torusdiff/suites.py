@@ -50,9 +50,13 @@ TWO_PI = 2.0 * np.pi
 SuiteResult = tuple[dict, list, dict, bool]
 
 
+_PAIRS = ("eps", "ratio_band", "d0_band", "rk4_band")  # exactly two numbers
+
+
 def _apply_params(p: dict, params: dict, *tolerances: str):
     """Override a suite's defaults `p` in place; a key it lacks raises, and so
-    do an empty list and a `tolerances` entry that is not positive."""
+    do an empty list, a `tolerances` entry that is not positive and a _PAIRS
+    entry without exactly two entries."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
@@ -62,6 +66,9 @@ def _apply_params(p: dict, params: dict, *tolerances: str):
     if empty:
         raise ValueError(f"parameter {empty[0]!r} must not be an empty list")
     _require_positive(p, tolerances)
+    for key in _PAIRS:
+        if key in params and np.shape(p[key]) != (2,):
+            raise ValueError(f"parameter {key!r} must have exactly 2 entries, got {p[key]}")
 
 
 def _require_positive(params: dict, keys: tuple[str, ...]):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusdiff.diffeo as diffeo_module
+import torusdiff.grid as grid_module
 from torusdiff.diffeo import (
     DiffeoError,
     InversionError,
@@ -466,6 +467,22 @@ def test_invert_matches_all_points_newton_in_2d_with_less_evaluate_work(monkeypa
         old_work += log.work()
         assert np.max(np.abs(psi.disp_values - oracle)) <= 1e-14
     assert new_work <= 0.75 * old_work
+
+
+def test_newton_builds_phase_tables_at_the_maps_band(monkeypatch):
+    """The group suite's T^2 maps keep |k| <= 4 at N = 64: every Newton sweep
+    of invert builds its phase tables for the band M = 10 at most, while a
+    full-band evaluate still builds them for N = 64."""
+    sizes = []
+    phases = grid_module._phases
+    monkeypatch.setattr(grid_module, "_phases", lambda x, size: sizes.append(size) or phases(x, size))
+    spec = GridSpec(2, 64)
+    phi = make_diffeo(random_certified_displacement(spec, 13, 4, 0.2))
+    invert(phi)
+    assert sizes and max(sizes) <= 10
+    sizes.clear()
+    evaluate(random_field(spec, 2.0, 13), spec.points()[:700])
+    assert sizes and set(sizes) == {64}
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -9,6 +9,7 @@ from torusdiff.grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    _band_size,
     _extend_axis,
     _half_modes,
     _mirror_modes,
@@ -278,6 +279,49 @@ def test_evaluate_precision_contract(num_points, dim, size, components):
     cut = num_points // 3
     parts = np.concatenate([evaluate(F, pts[:cut]), evaluate(F, pts[cut:])], axis=1)
     assert np.all(np.abs(parts - fast) <= bound[:, None])
+
+
+# per-axis radii r_a: keep the modes with |k_a| <= r_a; None is the zero spectrum
+BAND_CASES = [
+    (dim, size, None if r is None else (r,) * dim)
+    for dim, size in [(1, 256), (2, 64)]
+    for r in [None, 0, 1, 4, size // 2 - 2, size // 2 - 1]
+] + [
+    (2, 64, (4, 0)),  # a function of x_1 alone
+    (2, 64, (0, 3)),  # a function of x_2 alone
+    (2, 64, (31, 2)),  # full band along x_1, narrow along x_2: no trimming
+]
+
+
+@pytest.mark.parametrize("dim,size,radii", BAND_CASES)
+def test_evaluate_precision_contract_on_a_band(dim, size, radii):
+    """Band-limited input runs at its band M = 2 max|k| + 2 (N when the band
+    reaches N/2 - 1) and keeps the dense-sum contract."""
+    spec = GridSpec(dim, size)
+    rng = np.random.default_rng(size + 7)
+    F = forward_transform(GridFunction(spec, rng.standard_normal((2,) + spec.shape)))
+    k = np.abs(spec.wavenumbers())
+    if radii is None:
+        mask, band = np.zeros(spec.shape), 2
+    else:
+        axes = np.meshgrid(*[k] * dim, indexing="ij")
+        mask = np.prod([kk <= r for kk, r in zip(axes, radii)], axis=0)
+        band = min(2 * max(radii) + 2, size)
+    F = Spectrum(spec, F.coeffs * mask)
+    assert _band_size(F.coeffs, size) == band
+    pts = rng.uniform(-1.0, 2.0, (1500, dim))
+    fast = evaluate(F, pts)
+    bound = 1e-13 * np.sum(np.abs(F.coeffs), axis=tuple(range(1, dim + 1)))
+    assert np.all(np.abs(fast - dense_evaluate(F, pts)) <= bound[:, None])
+
+
+def test_a_band_evaluates_bit_for_bit_like_its_own_grid():
+    """A band-4 spectrum at N = 64 runs the N = 10 code on the same numbers."""
+    F = fourier_truncate(random_field(GridSpec(2, 64), 2.0, 5, components=2), 4)
+    slots = np.fft.fftfreq(10, d=0.1).astype(int) % 64  # N = 10 slots in the N = 64 grid
+    small = Spectrum(GridSpec(2, 10), F.coeffs[:, slots][:, :, slots])
+    pts = np.random.default_rng(5).uniform(-1.0, 2.0, (1300, 2))
+    assert np.array_equal(evaluate(F, pts), evaluate(small, pts))
 
 
 def test_refine_matches_evaluation():

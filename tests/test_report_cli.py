@@ -452,6 +452,23 @@ def test_a_config_that_leaves_nothing_to_check_fails(name, params, key):
     assert repr(key) in entry["error"]
 
 
+PAIR_CASES = [
+    (name, key, value)
+    for name, keys in [("inverse-differential", ("eps", "ratio_band")), ("geodesic", ("d0_band", "rk4_band"))]
+    for key in keys
+    for value in ([1.7], [1.7, 2.0, 2.3])
+]
+
+
+@pytest.mark.parametrize("name, key, value", PAIR_CASES)
+def test_a_pair_parameter_needs_exactly_two_entries(no_work, name, key, value):
+    """One or three entries fail before any work, with the key named."""
+    reports, summary = run_all({"suites": [{"suite": name, key: value}]})
+    [entry] = summary["suites"]
+    assert not reports and summary["pass"] is False and entry["pass"] is False
+    assert entry["error"] == f"parameter {key!r} must have exactly 2 entries, got {value}"
+
+
 # the suites that take `dim`, at small T^2 sizes; every other suite is T^1 only
 T2_PARAMS = {
     "norm-equivalence": {"size": 16, "trials": 5},
@@ -527,6 +544,15 @@ def test_cli_verify_a_wrong_typed_param_is_an_error_for_both_commands(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == "embedding: FAIL (0.00s)\noverall: FAIL\n"
     assert captured.err == f"  error: {message}"
+
+
+@pytest.mark.parametrize("name, key, value", [("inverse-differential", "eps", [1e-3]), ("geodesic", "d0_band", [1.7])])
+def test_cli_verify_names_a_pair_parameter_of_the_wrong_length(tmp_path, capsys, name, key, value):
+    cfg = write_json(tmp_path / "cfg.json", {"suites": [{"suite": name, key: value}]})
+    assert main(["verify", name, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: parameter {key!r}")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_verify_a_flat_config_cannot_name_its_suite(tmp_path, capsys):
