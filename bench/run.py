@@ -1,12 +1,13 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_2.json
+    python3 bench/run.py --out BENCH_4.json
 
-Times `grid.evaluate` on fixed seeded inputs (the rows below) and writes
-one JSON record: machine info, then per row the median and quartiles of
-the seconds per call over RUNS runs (each run times enough calls to last
-about 0.2 s).  BLAS and OpenMP are pinned to one thread before numpy
-is imported, so rows measure the code, not the thread pool.  It imports
+Times `grid.evaluate` and RK4 geodesic stepping on fixed seeded inputs (the
+rows below) and writes one JSON record: machine info, then per row the
+median and quartiles of the seconds per call over RUNS runs (each run times
+enough calls to last about 0.2 s); RK4 rows also give them per step.  BLAS
+and OpenMP are pinned to one thread before numpy is imported, so rows
+measure the code, not the thread pool.  It imports
 torusdiff from the `src/` next to this directory; to measure another
 checkout, copy this file into that checkout's `bench/` and run it there.
 Not part of the test suite.
@@ -29,7 +30,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from torusdiff.grid import GridSpec, evaluate, fourier_truncate, random_field  # noqa: E402
+from torusdiff.geodesic import conformal_metric_2d, exp_field, geodesic_flow  # noqa: E402
+from torusdiff.grid import GridFunction, GridSpec, evaluate, fourier_truncate, random_field  # noqa: E402
 
 RUNS = 9  # timed runs per row
 
@@ -39,6 +41,13 @@ EVALUATE_ROWS = [
     ("evaluate/2d-N64-P4096", 2, 64, 4096, None),
     ("evaluate/2d-N64-P4096-band4", 2, 64, 4096, 4),
     ("evaluate/2d-N128-P16384", 2, 128, 16384, None),
+]
+
+# (row name, points, steps): RK4 on conformal_metric_2d, one geodesic through
+# `geodesic_flow` (the suite's reference) or a 64 x 64 field through `exp_field`
+RK4_ROWS = [
+    ("rk4/geodesic_flow-P1-steps8192", 1, 8192),
+    ("rk4/exp_field-P4096-steps64", 4096, 64),
 ]
 
 
@@ -84,11 +93,36 @@ def evaluate_rows(runs: int = RUNS) -> dict:
     return out
 
 
+def rk4_call(num_points: int, steps: int):
+    """The timed call of an RK4 row, on conformal_metric_2d."""
+    m = conformal_metric_2d()
+    if num_points == 1:
+        y0, v0 = np.array([0.15, 0.35]), np.array([0.3, 0.2])
+        return lambda: geodesic_flow(m, y0, v0, T=1.0, steps=steps)
+    spec = GridSpec(2, 64)
+    assert spec.num_points == num_points
+    f = GridFunction(spec, spec.points().T.reshape((2,) + spec.shape))
+    Y = GridFunction(spec, np.random.default_rng(1).uniform(-0.3, 0.3, (2,) + spec.shape))
+    return lambda: exp_field(m, f, Y, t=1.0, steps=steps)
+
+
+def rk4_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, num_points, steps in RK4_ROWS:
+        row = time_row(rk4_call(num_points, steps), runs)
+        row.update({f"per_step_{key}": row[key] / steps for key in ("median_s", "q1_s", "q3_s")})
+        row.update(points=num_points, steps=steps)
+        out[name] = row
+        print(f"{name:32s} median {row['per_step_median_s'] * 1e6:9.3f} us/step  "
+              f"(q1 {row['per_step_q1_s'] * 1e6:.3f}, q3 {row['per_step_q3_s'] * 1e6:.3f}, n={runs})")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON record path")
     args = parser.parse_args(argv)
-    record = {"machine": machine(), "rows": evaluate_rows()}
+    record = {"machine": machine(), "rows": {**evaluate_rows(), **rk4_rows()}}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

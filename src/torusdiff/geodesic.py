@@ -11,11 +11,12 @@ bundled metric is conformal, g = e^{2 lam} I, so its spray is
 -conj(grad lam) v^2 with grad lam = lam_1 + i lam_2 (-lam' v^2 in 1D).
 The exponential map acts pointwise on a field of chart points and a field
 of velocities; it is diagonal in the points, so a field-level integration
-is exactly a bundle of independent pointwise geodesics.
+is a bundle of independent pointwise geodesics, as is each ladder law's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,8 +45,8 @@ class Metric:
     """Chart metric: callables for g and its geodesic spray.
 
     metric(z): (..., d) -> (..., d, d);  spray(y, v): chart coordinates of
-    one shape (numpy scalars or arrays; real in 1D, complex in 2D) -> the
-    same shape, the spray -Gamma(y)(v, v).
+    one shape (numpy scalars or (P,) arrays, which a spray may treat apart;
+    real in 1D, complex in 2D) -> the same shape, the spray -Gamma(y)(v, v).
     """
 
     dim: int
@@ -61,8 +62,7 @@ def flat_metric(dim: int) -> Metric:
     eye = np.eye(dim)
 
     def g(z):
-        z = np.asarray(z, dtype=np.float64)
-        return np.broadcast_to(eye, z.shape[:-1] + (dim, dim)).copy()
+        return np.broadcast_to(eye, np.shape(z)[:-1] + (dim, dim)).copy()
 
     return Metric(dim, g, lambda y, v: np.zeros_like(v))
 
@@ -73,8 +73,7 @@ def exp_metric_1d() -> Metric:
     barrier at v0 t = -1."""
 
     def g(z):
-        z = np.asarray(z, dtype=np.float64)
-        return np.exp(2.0 * z)[..., None]
+        return np.exp(2.0 * np.asarray(z, dtype=np.float64))[..., None]
 
     return Metric(1, g, lambda y, v: -(v * v))
 
@@ -90,7 +89,10 @@ def conformal_metric_2d() -> Metric:
     turn, scale = 2 * np.pi * (1 - 1j), 0.2 * np.pi * (1 - 1j)
 
     def spray(y, v):
-        return -(scale * _chart(np.cos(_real(turn * y)), 2) * v) * v
+        w = turn * y
+        if isinstance(w, complex):  # one point (numpy scalars too): no array dispatch
+            return -(scale * complex(math.cos(w.real), math.cos(w.imag)) * v) * v
+        return -(scale * _chart(np.cos(_real(w)), 2) * v) * v
 
     eye = np.eye(2)
 
@@ -114,9 +116,9 @@ def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:
     return 0.5 * (pairs - units[..., :, None] - units[..., None, :])
 
 
-def _rk4(spray: Callable, y, v, h: float):
+def _rk4(spray: Callable, y, v, h):
     """One classical RK4 step of ydot = v, vdot = spray(y, v) on chart
-    coordinates: numpy scalars for one geodesic, (P,) arrays for P."""
+    coordinates: numpy scalars for one geodesic, (P,) arrays for P (and h)."""
     half, sixth = 0.5 * h, h / 6.0
     a1 = spray(y, v)
     v2 = v + half * a1
@@ -160,14 +162,17 @@ def geodesic_flow(
     """Integrate geodesics from (y0, v0) over [0, T] with RK4: one from
     initial data of shape (d,), or P independent ones from shape (P, d)."""
     _validate_time_steps(T, steps)
-    y = np.atleast_1d(np.asarray(y0, dtype=np.float64))
-    v = np.atleast_1d(np.asarray(v0, dtype=np.float64))
+    y, v = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (y0, v0))
     if y.shape != v.shape or y.ndim > 2 or y.shape[-1] != m.dim:
         raise ValueError(f"initial data must have shape ({m.dim},) or (P, {m.dim})")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
         raise ValueError("initial data must be finite")
-    h = T / steps
-    y, v = _chart(y, m.dim), _chart(v, m.dim)
+    ys, vs = _trajectory(m, _chart(y, m.dim), _chart(v, m.dim), T / steps, steps)
+    return Trajectory(np.linspace(0.0, T, steps + 1), _real(ys), _real(vs))
+
+
+def _trajectory(m: Metric, y, v, h, steps: int):
+    """RK4 states (steps + 1, ...) from chart coordinates (y, v), step h."""
     ys, vs = np.empty((2, steps + 1) + np.shape(y), y.dtype)
     ys[0], vs[0] = y, v
     with np.errstate(all="ignore"):  # non-finite states raise below instead
@@ -178,63 +183,71 @@ def geodesic_flow(
     lost = np.flatnonzero(~finite.reshape(steps + 1, -1).all(axis=1))
     if len(lost):  # RK4 keeps a non-finite state non-finite: report the first
         raise ValueError(f"geodesic state not finite at step {lost[0]} of {steps}")
-    return Trajectory(np.linspace(0.0, T, steps + 1), _real(ys), _real(vs))
+    return ys, vs
 
 
 def exp_field(
-    m: Metric,
-    f: GridFunction,
-    Y: GridFunction,
-    t: float = 1.0,
-    steps: int = 256,
+    m: Metric, f: GridFunction, Y: GridFunction, t: float = 1.0, steps: int = 256
 ) -> GridFunction:
-    """Pointwise exponential: follow each grid point's geodesic to time t.
+    """Pointwise exponential: each chart point of f (components = m.dim)
+    follows its geodesic with velocity Y to time t, as one batch."""
+    ends = _exp_points(m, *_lanes(m, f, Y, t, steps), t, steps)
+    return GridFunction(f.spec, ends.T.reshape((m.dim,) + f.spec.shape))
 
-    f holds chart points (components = m.dim), Y the velocity field.
-    """
+
+def _lanes(m: Metric, f: GridFunction, Y: GridFunction, t: float, steps: int):
+    """f's points and Y's velocities as (P, d) lanes, checked against m."""
     _validate_time_steps(t, steps)
     if f.spec != Y.spec or f.num_components != m.dim or Y.num_components != m.dim:
         raise ValueError("point and velocity fields must match the metric dim")
-    y = f.flat_points_values()  # (P, d)
-    v = Y.flat_points_values()
-    h = t / steps
-    ye, ve = _chart(y, m.dim), _chart(v, m.dim)
+    return f.flat_points_values(), Y.flat_points_values()
+
+
+def _exp_points(m: Metric, y: np.ndarray, v: np.ndarray, t, steps: int) -> np.ndarray:
+    """Geodesic endpoints (P, d) from real points and velocities (P, d) at
+    time t, a float or (P,) per lane; a lane with t = 0 stays put exactly."""
+    h, y, v = t / steps, _chart(y, m.dim), _chart(v, m.dim)
+    ye, ve = y, v
     with np.errstate(all="ignore"):
         for _ in range(steps):
             ye, ve = _rk4(m.spray, ye, ve, h)
     lost = ~(np.isfinite(ye) & np.isfinite(ve))
-    if lost.any():  # replay the lost points to name the first non-finite step
-        geodesic_flow(m, y[lost], v[lost], t, steps)
-    return GridFunction(f.spec, _real(ye).T.reshape((m.dim,) + f.spec.shape))
+    if lost.any():  # replay the lost lanes to name the first non-finite step
+        _trajectory(m, y[lost], v[lost], np.broadcast_to(h, lost.shape)[lost], steps)
+    return _real(ye)
 
 
 def scaling_defect(
-    m: Metric, f: GridFunction, Y: GridFunction, lam: float, steps: int = 512
-) -> float:
-    """Max grid defect of the homogeneity law alpha(lam; Y) = alpha(1; lam Y)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    scaled = GridFunction(Y.spec, lam * Y.values)
-    right = exp_field(m, f, scaled, t=1.0, steps=steps)
-    if lam == 0.0:  # alpha(0; Y) = f, the stationary side
-        return float(np.max(np.abs(f.values - right.values)))
-    left = exp_field(m, f, Y, t=lam, steps=steps)
-    return float(np.max(np.abs(left.values - right.values)))
+    m: Metric, f: GridFunction, Y: GridFunction, lams, steps: int = 512
+) -> list[float]:
+    """Max grid defects of the homogeneity law alpha(lam; Y) = alpha(1; lam Y)
+    for a ladder of lam in [0, 1], in one RK4 loop: right sides to t = 1 from
+    lam Y, left sides to t = lam from Y (at lam = 0, the stationary f)."""
+    lams, (y, v) = [float(lam) for lam in lams], _lanes(m, f, Y, 1.0, steps)
+    if not all(0.0 <= lam <= 1.0 for lam in lams):
+        raise ValueError(f"every lam must lie in [0, 1], got {lams}")
+    n = len(lams)
+    v = np.concatenate([c * v for c in lams + [1.0] * n])  # right sides, then left
+    t = np.repeat([1.0] * n + lams, len(y))
+    right, left = _exp_points(m, np.tile(y, (2 * n, 1)), v, t, steps).reshape(2, n, -1, m.dim)
+    return [float(np.max(np.abs(a - b))) for a, b in zip(left, right)]
 
 
 def d0_exp_error(
-    m: Metric, f: GridFunction, Y_dir: GridFunction, eps: float, steps: int = 256
-) -> float:
-    """Grid L2 error of the first-order law (alpha(1; eps Y) - f)/eps = Y + O(eps)."""
-    scaled = GridFunction(Y_dir.spec, eps * Y_dir.values)
-    moved = exp_field(m, f, scaled, t=1.0, steps=steps)
-    defect = (moved.values - f.values) / eps - Y_dir.values
-    return float(np.sqrt(np.mean(np.sum(defect**2, axis=0))))
+    m: Metric, f: GridFunction, Y_dir: GridFunction, eps_ladder, steps: int = 256
+) -> list[float]:
+    """Grid L2 errors of the first-order law (alpha(1; eps Y) - f)/eps = Y + O(eps)
+    for a ladder of eps > 0, in one RK4 loop."""
+    eps_ladder, (y, v) = [float(eps) for eps in eps_ladder], _lanes(m, f, Y_dir, 1.0, steps)
+    if not all(0.0 < eps < math.inf for eps in eps_ladder):
+        raise ValueError(f"every eps must be positive and finite, got {eps_ladder}")
+    n, scaled = len(eps_ladder), np.concatenate([eps * v for eps in eps_ladder])
+    ends = _exp_points(m, np.tile(y, (n, 1)), scaled, 1.0, steps).reshape(n, -1, m.dim)
+    defects = (ends - y) / np.reshape(eps_ladder, (n, 1, 1)) - v
+    return [float(np.sqrt(np.mean(np.sum(d**2, axis=-1)))) for d in defects]
 
 
-def rk4_order_errors(
-    m: Metric, y0: np.ndarray, v0: np.ndarray
-) -> tuple[list[float], float]:
+def rk4_order_errors(m: Metric, y0: np.ndarray, v0: np.ndarray) -> tuple[list[float], float]:
     """Endpoint errors at T = 1 after 16, 32, 64 and 128 RK4 steps against an
     8192-step reference, and the order fitted to them."""
     steps_list = (16, 32, 64, 128)
@@ -245,6 +258,5 @@ def rk4_order_errors(
         errors.append(float(np.linalg.norm(end - ref)))
         if errors[-1] == 0.0:
             raise ValueError(f"RK4 error at {steps} steps is exactly 0; no order to fit")
-    hs = [1.0 / s for s in steps_list]
-    slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+    slope = float(np.polyfit(np.log([1.0 / s for s in steps_list]), np.log(errors), 1)[0])
     return errors, slope

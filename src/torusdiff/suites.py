@@ -55,8 +55,8 @@ _PAIRS = ("eps", "ratio_band", "d0_band", "rk4_band")  # exactly two numbers
 
 def _apply_params(p: dict, params: dict, *tolerances: str):
     """Override a suite's defaults `p` in place; a key it lacks raises, and so
-    do an empty list, a `tolerances` entry that is not positive and a _PAIRS
-    entry without exactly two entries."""
+    do an empty list, a non-positive `tolerances` entry, a _PAIRS entry
+    without exactly two entries and a band (a _PAIRS key but eps) high to low."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
@@ -69,6 +69,8 @@ def _apply_params(p: dict, params: dict, *tolerances: str):
     for key in _PAIRS:
         if key in params and np.shape(p[key]) != (2,):
             raise ValueError(f"parameter {key!r} must have exactly 2 entries, got {p[key]}")
+        if key in params and key != "eps" and p[key][0] > p[key][1]:
+            raise ValueError(f"parameter {key!r} must be [lo, hi] with lo <= hi, got {p[key]}")
 
 
 def _require_positive(params: dict, keys: tuple[str, ...]):
@@ -479,6 +481,10 @@ def run_geodesic(params: dict) -> SuiteResult:
         "rk4_band": [3.7, 4.3],
     }
     _apply_params(p, params, "tol_flat", "tol_scaling", "tol_energy")
+    # N >= 16 for the |k| <= 8 velocity fields; RK4 takes at least MIN_STEPS
+    for key, least in zip(("size", "steps", "scaling_steps"), (16,) + (geodesic.MIN_STEPS,) * 2):
+        if not isinstance(p[key], (int, np.integer)) or isinstance(p[key], bool) or p[key] < least:
+            raise ValueError(f"parameter {key!r} must be an integer >= {least}, got {p[key]!r}")
     spec = GridSpec(1, p["size"])
     x = spec.axis_coordinates()
     trials = []
@@ -506,17 +512,14 @@ def run_geodesic(params: dict) -> SuiteResult:
     )
     vel = GridFunction(spec, 0.3 * vel_raw.values / np.max(np.abs(vel_raw.values)))
 
-    scaling_defects = {
-        lam: geodesic.scaling_defect(conf, curve, vel, lam, steps=p["scaling_steps"])
-        for lam in (0.5, 0.3)
-    }
+    lams = (0.5, 0.3)
+    scaling_defects = dict(
+        zip(lams, geodesic.scaling_defect(conf, curve, vel, lams, steps=p["scaling_steps"]))
+    )
     trials.append({"check": "scaling", "defects": scaling_defects})
 
     eps_ladder = (1e-2, 5e-3, 2.5e-3)
-    d0_errors = [
-        geodesic.d0_exp_error(conf, curve, vel, eps, steps=p["steps"])
-        for eps in eps_ladder
-    ]
+    d0_errors = geodesic.d0_exp_error(conf, curve, vel, eps_ladder, steps=p["steps"])
     d0_ratios = [a / b for a, b in zip(d0_errors, d0_errors[1:])]
     trials.append({"check": "d0_exp", "errors": d0_errors, "ratios": d0_ratios})
 

@@ -1,5 +1,6 @@
 """Metrics, Christoffel symbols, RK4 geodesic flow, pointwise exponential."""
 
+import math
 import re
 import warnings
 
@@ -21,6 +22,7 @@ from torusdiff.geodesic import (
     scaling_defect,
 )
 from torusdiff.grid import GridFunction, GridSpec, fourier_truncate, inverse_transform, random_field
+from torusdiff.suites import run_suite
 
 TWO_PI = 2.0 * np.pi
 FD_STEP = 1e-6
@@ -447,23 +449,159 @@ def test_exp_field_matches_per_point_flow():
         assert np.max(np.abs(out.flat_points_values()[j] - traj.positions[-1])) < 1e-12
 
 
-def test_scaling_law():
-    spec = GridSpec(1, 32)
-    m = conformal_metric_2d()
+def _curve_fields(size):
+    """Chart points along a closed curve and a small velocity field on them."""
+    spec = GridSpec(1, size)
     x = spec.axis_coordinates()
     f = GridFunction(spec, np.stack([x, 0.3 + 0.2 * np.sin(TWO_PI * x)]))
     Y = GridFunction(spec, np.stack([0.1 * np.cos(TWO_PI * x), 0.05 * np.sin(TWO_PI * x)]))
-    for lam in (1.0, 0.5, 0.3, 0.0):
-        assert scaling_defect(m, f, Y, lam, steps=256) < 1e-8
-    with pytest.raises(ValueError):
-        scaling_defect(m, f, Y, 1.5)
+    return f, Y
+
+
+def test_scaling_law():
+    f, Y = _curve_fields(32)
+    m = conformal_metric_2d()
+    defects = scaling_defect(m, f, Y, [1.0, 0.5, 0.3, 0.0], steps=256)
+    assert len(defects) == 4 and all(d < 1e-8 for d in defects)
+    with pytest.raises(ValueError, match="lam must lie in"):
+        scaling_defect(m, f, Y, [0.5, 1.5])
 
 
 def test_d0_exp_first_order():
-    spec = GridSpec(1, 32)
-    m = conformal_metric_2d()
-    x = spec.axis_coordinates()
-    f = GridFunction(spec, np.stack([x, 0.3 + 0.2 * np.sin(TWO_PI * x)]))
-    Y = GridFunction(spec, np.stack([0.1 * np.cos(TWO_PI * x), 0.05 * np.sin(TWO_PI * x)]))
-    errs = [d0_exp_error(m, f, Y, eps, steps=128) for eps in (1e-2, 5e-3)]
+    f, Y = _curve_fields(32)
+    errs = d0_exp_error(conformal_metric_2d(), f, Y, [1e-2, 5e-3], steps=128)
     assert 1.7 <= errs[0] / errs[1] <= 2.3
+
+
+def _scaled(Y, c):
+    return GridFunction(Y.spec, c * Y.values)
+
+
+def test_ladders_equal_per_entry_exp_field_runs():
+    """Precision contract: one RK4 loop over every rung of a ladder gives,
+    bit for bit, what one exp_field run per rung gives."""
+    f, Y = _curve_fields(32)
+    m = conformal_metric_2d()
+    lams = [1.0, 0.5, 0.3, 0.0]
+    want = []
+    for lam in lams:
+        right = exp_field(m, f, _scaled(Y, lam), t=1.0, steps=64).values
+        left = exp_field(m, f, Y, t=lam, steps=64).values if lam else f.values
+        want.append(float(np.max(np.abs(left - right))))
+    assert scaling_defect(m, f, Y, lams, steps=64) == want
+    assert scaling_defect(m, f, Y, [0.3], steps=64) == want[2:3]
+    eps_ladder = [1e-2, 2.5e-3]
+    want = []
+    for eps in eps_ladder:
+        moved = exp_field(m, f, _scaled(Y, eps), t=1.0, steps=64).values
+        defect = (moved - f.values) / eps - Y.values
+        want.append(float(np.sqrt(np.mean(np.sum(defect**2, axis=0)))))
+    assert d0_exp_error(m, f, Y, eps_ladder, steps=64) == want
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan])
+def test_d0_exp_error_rejects_a_step_that_is_not_positive_and_finite(eps):
+    f, Y = _curve_fields(16)
+    with pytest.raises(ValueError, match="every eps must be positive and finite"):
+        d0_exp_error(conformal_metric_2d(), f, Y, [1e-2, eps])
+
+
+def test_ladders_check_their_fields_and_steps():
+    f, Y = _curve_fields(16)
+    m = conformal_metric_2d()
+    flat = GridFunction(f.spec, f.values[:1])
+    for ladder in (scaling_defect, d0_exp_error):
+        with pytest.raises(ValueError, match="metric dim"):
+            ladder(m, flat, flat, [0.5])
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            ladder(m, f, Y, [0.5], steps=8)
+
+
+@pytest.mark.parametrize("name", ["exp1d", "conformal2d"])
+def test_exp_points_with_per_lane_times_equal_separate_runs(name):
+    """Precision contract: lanes with their own times, t = 0 included, end
+    bit for bit where one run per time puts them; a t = 0 lane stays put."""
+    m, _ = GAMMA_ORACLES[name]
+    y, v = _initial_data(m.dim, (12,), 21)
+    times = np.array([0.3, 1.0, 0.7, 0.0] * 3)
+    ends = geodesic._exp_points(m, y, v, times, 32)
+    assert ends.shape == y.shape
+    for t in np.unique(times):
+        lanes = times == t
+        alone = geodesic._exp_points(m, y[lanes], v[lanes], float(t), 32)
+        assert np.array_equal(ends[lanes], alone)
+    assert np.array_equal(ends[times == 0.0], y[times == 0.0])
+
+
+def _lost_step(*flow_args):
+    with pytest.raises(ValueError) as err:
+        geodesic_flow(exp_metric_1d(), *flow_args)
+    return int(re.search(r"at step (\d+) of", str(err.value)).group(1))
+
+
+def test_exp_points_names_the_first_lost_step_at_each_lanes_time():
+    """The replay runs each lost lane to its own time: a lane lost only at
+    its own time is named at the step where it alone would be lost."""
+    y, v = np.zeros((3, 1)), np.array([[0.5], [-2.0], [-8.0]])
+    own, at_one = _lost_step([0.0], [-8.0], 0.5, 64), _lost_step([0.0], [-8.0], 1.0, 64)
+    assert own < _lost_step([0.0], [-2.0], 1.0, 64) and own != at_one
+    with pytest.raises(ValueError, match=f"not finite at step {own} of 64"):
+        geodesic._exp_points(exp_metric_1d(), y, v, np.array([1.0, 1.0, 0.5]), 64)
+    with pytest.raises(ValueError, match="not finite at step 35 of 64"):
+        geodesic._exp_points(exp_metric_1d(), y, v, np.array([1.0, 1.0, 0.0]), 64)
+
+
+def test_scalar_spray_takes_math_cos_bit_for_bit_where_it_equals_np_cos():
+    """Precision contract: one point's spray takes math.cos where the array
+    spray takes np.cos, and nothing else changes: where the two cosines agree
+    (every lane here on x86-64 with numpy 2.4), the spray is bit for bit the
+    numpy-scalar form it replaces; every cosine is within an ulp."""
+    m = conformal_metric_2d()
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-4.7, 4.7, size=(2000, 2))  # |2 pi (1 - i) y| up to about 59
+    y, w = _to_chart(z), _to_chart(rng.uniform(-0.3, 0.3, size=(2000, 2)))
+    turn, scale = TWO_PI * (1 - 1j), 0.2 * np.pi * (1 - 1j)
+    parts = geodesic._real(np.array([turn * yj for yj in y]))  # w as one point makes it
+    assert np.max(np.abs(parts)) > 55.0
+    by_math = np.vectorize(math.cos)(parts)
+    assert np.all(np.abs(by_math - np.cos(parts)) <= np.spacing(np.abs(by_math)))
+    same = np.all(by_math == np.cos(parts), axis=-1)
+    for j in np.flatnonzero(same):
+        replaced = -(scale * geodesic._chart(np.cos(geodesic._real(turn * y[j])), 2) * w[j]) * w[j]
+        one = m.spray(y[j], w[j])
+        assert one == replaced and isinstance(one, np.complex128)
+
+
+# numpy's vectorized complex multiply rounds differently from the scalar one
+# (fused multiply-adds), already in w = 2 pi (1 - i) y: the two w differ by up
+# to sqrt(2) ulps, and at |w| ~ 60 an ulp moves cos by ~7e-15.  So a lane and
+# its one-point spray differ by at most SPRAY_UNITS of |scale| |v|^2 ulp(|w|)
+# + ulp(|spray|); 100 000 lanes came within 1.94 of them.
+SPRAY_UNITS = 4
+
+
+def test_scalar_spray_equals_the_array_spray_lane_by_lane():
+    m = conformal_metric_2d()
+    rng = np.random.default_rng(29)
+    y = _to_chart(rng.uniform(-4.7, 4.7, size=(2000, 2)))
+    w = _to_chart(rng.uniform(-0.3, 0.3, size=(2000, 2)))
+    batch = m.spray(y, w)
+    one = np.array([m.spray(y[j], w[j]) for j in range(len(y))])
+    turn, scale = TWO_PI * (1 - 1j), 0.2 * np.pi * (1 - 1j)
+    unit = abs(scale) * np.abs(w) ** 2 * np.spacing(np.abs(turn * y)) + np.spacing(np.abs(batch))
+    assert np.all(np.abs(one - batch) <= SPRAY_UNITS * unit)
+
+
+def test_the_geodesic_suite_steps_rk4_once_per_step_count(monkeypatch):
+    """Ladders share one RK4 loop: flat 256, scaling 512, d0 256, energy 256,
+    and the single-point reference 8192 + 16 + 32 + 64 + 128 steps."""
+    calls = []
+    rk4 = geodesic._rk4
+
+    def counted(*args):
+        calls.append(1)
+        return rk4(*args)
+
+    monkeypatch.setattr(geodesic, "_rk4", counted)
+    assert run_suite("geodesic").passed
+    assert len(calls) == 256 + 512 + 256 + 256 + 8192 + 240 == 9712

@@ -469,6 +469,45 @@ def test_a_pair_parameter_needs_exactly_two_entries(no_work, name, key, value):
     assert entry["error"] == f"parameter {key!r} must have exactly 2 entries, got {value}"
 
 
+BAND_CASES = [
+    ("inverse-differential", "ratio_band", [4.5, 3.5]),
+    ("geodesic", "d0_band", [2.3, 1.7]),
+    ("geodesic", "rk4_band", [4.3, 3.7]),
+]
+
+
+@pytest.mark.parametrize("name, key, value", BAND_CASES)
+def test_a_band_given_high_to_low_fails_before_any_work(no_work, name, key, value):
+    """A reversed band would run the suite and report FAIL with no error."""
+    reports, summary = run_all({"suites": [{"suite": name, key: value}]})
+    [entry] = summary["suites"]
+    assert not reports and summary["pass"] is False and entry["pass"] is False
+    assert entry["error"] == f"parameter {key!r} must be [lo, hi] with lo <= hi, got {value}"
+
+
+def test_eps_is_a_pair_of_steps_not_a_band():
+    reports, summary = run_all({"suites": [{"suite": "inverse-differential", "eps": [5e-4, 1e-3]}]})
+    [entry] = summary["suites"]
+    assert len(reports) == 1 and "error" not in entry
+    assert reports[0].params["eps"] == [5e-4, 1e-3]
+
+
+@pytest.mark.parametrize(
+    "key, value, least",
+    [("size", 8, 16), ("size", 10, 16), ("size", 14, 16), ("steps", 15, 16),
+     ("scaling_steps", 15, 16), ("steps", 16.0, 16), ("scaling_steps", True, 16), ("steps", "32", 16)],
+)
+def test_geodesic_rejects_a_size_or_step_count_naming_the_key(no_work, key, value, least):
+    reports, summary = run_all({"suites": [{"suite": "geodesic", key: value}]})
+    [entry] = summary["suites"]
+    assert not reports and entry["pass"] is False
+    assert entry["error"] == f"parameter {key!r} must be an integer >= {least}, got {value!r}"
+
+
+def test_geodesic_runs_at_its_smallest_size():
+    assert run_suite("geodesic", {"size": 16, "steps": 16, "scaling_steps": 16}).params["size"] == 16
+
+
 # the suites that take `dim`, at small T^2 sizes; every other suite is T^1 only
 T2_PARAMS = {
     "norm-equivalence": {"size": 16, "trials": 5},
@@ -549,6 +588,19 @@ def test_cli_verify_a_wrong_typed_param_is_an_error_for_both_commands(tmp_path, 
 @pytest.mark.parametrize("name, key, value", [("inverse-differential", "eps", [1e-3]), ("geodesic", "d0_band", [1.7])])
 def test_cli_verify_names_a_pair_parameter_of_the_wrong_length(tmp_path, capsys, name, key, value):
     cfg = write_json(tmp_path / "cfg.json", {"suites": [{"suite": name, key: value}]})
+    assert main(["verify", name, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: parameter {key!r}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, params, key",
+    [(name, {key: value}, key) for name, key, value in BAND_CASES]
+    + [("geodesic", {"scaling_steps": 15}, "scaling_steps"), ("geodesic", {"size": 8}, "size")],
+)
+def test_cli_verify_names_a_reversed_band_or_a_bad_geodesic_size(tmp_path, capsys, name, params, key):
+    cfg = write_json(tmp_path / "cfg.json", {"suites": [{"suite": name, **params}]})
     assert main(["verify", name, "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: parameter {key!r}")
