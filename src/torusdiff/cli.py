@@ -23,6 +23,7 @@ from .norms import (
     slobodeckij_seminorm,
 )
 from .report import (
+    SuiteReport,
     diffeo_to_dict,
     dump_json,
     load_diffeo,
@@ -49,8 +50,16 @@ def _suite_params(config: dict, suite: str) -> dict:
     return dict(config)
 
 
-def _print_report_line(name: str, passed: bool, wall: float):
-    print(f"{name}: {'PASS' if passed else 'FAIL'} ({wall:.2f}s)")
+def _describe(c: dict) -> str:
+    bound = "[{:.6g}, {:.6g}]".format(*c["bound"]) if c["sense"] == "in" else f"{c['bound']:.6g}"
+    return f"{c['name']} {c['value']:.6g} {c['sense']} {bound}, margin {c['margin']:.2g}"
+
+
+def _print_report_line(rep: SuiteReport):
+    line = f"{rep.suite}: {'PASS' if rep.passed else 'FAIL'} ({rep.wall_time_s:.2f}s)"
+    if rep.checks:
+        line += f"; tightest {_describe(min(rep.checks, key=lambda c: c['margin']))}"
+    print(line)
 
 
 def cmd_verify(args) -> int:
@@ -65,9 +74,9 @@ def cmd_verify(args) -> int:
         print(f"error: {summary['suites'][0]['error']}", file=sys.stderr)
         return 1
     [report] = reports
-    _print_report_line(report.suite, report.passed, report.wall_time_s)
-    if not report.passed:
-        print(dump_json(report.aggregate), file=sys.stderr)
+    _print_report_line(report)
+    for c in (c for c in report.checks if not c["pass"]):
+        print(f"  failed {_describe(c)}", file=sys.stderr)
     if args.out:
         report.to_json(args.out)
     return 0 if report.passed else 1
@@ -83,9 +92,9 @@ def cmd_verify_all(args) -> int:
     reports, summary = run_all(config)
     if "warning" in summary:
         print(f"warning: {summary['warning']}", file=sys.stderr)
-    walls = {rep.suite: rep.wall_time_s for rep in reports}
+    ran = iter(reports)  # a report for each entry without an error, in order
     for entry in summary["suites"]:
-        _print_report_line(entry["suite"], entry["pass"], walls.get(entry["suite"], 0.0))
+        _print_report_line(SuiteReport(entry["suite"], {}) if "error" in entry else next(ran))
         if "error" in entry:
             print(f"  error: {entry['error']}", file=sys.stderr)
     print(f"overall: {'PASS' if summary['pass'] else 'FAIL'}")

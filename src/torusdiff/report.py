@@ -10,7 +10,7 @@ helpers strip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,28 +61,37 @@ def dump_json(payload: dict, path=None) -> str:
     return text
 
 
+def check(name: str, value, bound, sense: str) -> dict:
+    """`value` `sense` `bound` as a named record, sense being "<", "<=", ">=" or "in"
+    (an inclusive [lo, hi]).  It holds when its headroom is >= 0 (> 0 under "<"); its
+    margin is the headroom over |bound| (over hi - lo), raw where that scale is 0."""
+    if sense == "in":
+        headroom, scale = min(value - bound[0], bound[1] - value), bound[1] - bound[0]
+    else:
+        headroom, scale = (value - bound if sense == ">=" else bound - value), abs(bound)
+    return {"name": name, "value": value, "bound": bound, "sense": sense,
+            "pass": bool(headroom > 0 if sense == "<" else headroom >= 0),
+            "margin": headroom / scale if scale else headroom}
+
+
 @dataclass
 class SuiteReport:
-    """Pass/fail record of one suite with its measured quantities."""
+    """Pass/fail record of one suite: its measured quantities and `check`s."""
 
     suite: str
     params: dict
     trials: list = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
     passed: bool = False
     wall_time_s: float = 0.0
     schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "suite": self.suite,
-            "params": self.params,
-            "trials": self.trials,
-            "aggregate": self.aggregate,
-            "pass": self.passed,
-            "wall_time_s": self.wall_time_s,
-        }
+        """Every field under its own name, but `passed` under "pass"."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["pass"] = payload.pop("passed")
+        return payload
 
     def to_json(self, path=None) -> str:
         return dump_json(self.to_dict(), path)
@@ -99,15 +108,7 @@ class SuiteReport:
         """Inverse of to_dict; a missing or unknown key, or a schema version
         other than SCHEMA_VERSION, raises ValueError."""
         _check_keys(payload, cls("", {}).to_dict(), "report")
-        return cls(
-            suite=payload["suite"],
-            params=payload["params"],
-            trials=payload["trials"],
-            aggregate=payload["aggregate"],
-            passed=payload["pass"],
-            wall_time_s=payload["wall_time_s"],
-            schema_version=payload["schema_version"],
-        )
+        return cls(**{"passed" if key == "pass" else key: value for key, value in payload.items()})
 
 
 _CERTIFICATE_KEYS = (

@@ -1,13 +1,15 @@
 """Named verification suites and the configuration-driven runner.
 
 Each suite exercises one certified statement of the torus calculus at desk
-scale; `run_suite` names, times and reports it.  Suites draw every random
+scale and returns its named checks (`report.check`); `run_suite` names, times
+and reports it, passing it when every check holds.  Suites draw every random
 object from seeds recorded in their parameters, so reports are reproducible
 bit for bit.  Trials run one after another in each suite's own loop.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
@@ -42,21 +44,27 @@ from .norms import (
     norm_equivalence_constant,
     slobodeckij_seminorm,
 )
-from .report import SCHEMA_VERSION, SuiteReport
+from .report import SCHEMA_VERSION, SuiteReport, check
 
 TWO_PI = 2.0 * np.pi
 
-# what a suite returns: (params, trials, aggregate, passed)
-SuiteResult = tuple[dict, list, dict, bool]
+# what a suite returns: (params, trials, aggregate, checks); only run_suite makes a verdict
+SuiteResult = tuple[dict, list, dict, list]
 
 
 _PAIRS = ("eps", "ratio_band", "d0_band", "rk4_band")  # exactly two numbers
 
 
-def _apply_params(p: dict, params: dict, *tolerances: str):
-    """Override a suite's defaults `p` in place; a key it lacks raises, and so
-    do an empty list, a non-positive `tolerances` entry, a _PAIRS entry
-    without exactly two entries and a band (a _PAIRS key but eps) high to low."""
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _apply_params(p: dict, params: dict, *tolerances: str, **least: int):
+    """Override a suite's defaults `p` in place; a key it lacks raises, and so do an
+    empty list, a `trials`, `pairs` or `least` key that is no integer >= 1 (>= its
+    `least` value), a non-null `k_max` or `tolerances` entry that is no real number
+    (or is not positive), a _PAIRS entry that is no two real numbers and a band
+    (a _PAIRS key but eps) high to low."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
@@ -65,18 +73,30 @@ def _apply_params(p: dict, params: dict, *tolerances: str):
     empty = [key for key, value in p.items() if isinstance(value, (list, tuple)) and not value]
     if empty:
         raise ValueError(f"parameter {empty[0]!r} must not be an empty list")
+    for key, low in {"trials": 1, "pairs": 1, **least}.items():
+        value = p.get(key, low)  # a suite without `trials` or `pairs` passes
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+            raise ValueError(f"parameter {key!r} must be an integer >= {low}, got {value!r}")
+    if p.get("k_max") is not None and not _real(p["k_max"]):
+        raise ValueError(f"parameter 'k_max' must be a real number or null, got {p['k_max']!r}")
     _require_positive(p, tolerances)
-    for key in _PAIRS:
-        if key in params and np.shape(p[key]) != (2,):
+    for key in (k for k in _PAIRS if k in params):
+        if not isinstance(p[key], (list, tuple)) or len(p[key]) != 2:
             raise ValueError(f"parameter {key!r} must have exactly 2 entries, got {p[key]}")
-        if key in params and key != "eps" and p[key][0] > p[key][1]:
+        if not all(map(_real, p[key])):
+            raise ValueError(f"parameter {key!r} must hold two real numbers, got {p[key]!r}")
+        if key != "eps" and p[key][0] > p[key][1]:
             raise ValueError(f"parameter {key!r} must be [lo, hi] with lo <= hi, got {p[key]}")
 
 
 def _require_positive(params: dict, keys: tuple[str, ...]):
     for key in keys:
         value = params[key]
-        if not np.all(np.asarray(value, dtype=float) > 0):
+        entries = value if key in _PAIRS and isinstance(value, (list, tuple)) else [value]
+        if not all(map(_real, entries)):
+            kind = "real numbers" if entries is value else "a real number"
+            raise ValueError(f"tolerance {key!r} must be {kind}, got {value!r}")
+        if not all(entry > 0 for entry in entries):
             raise ValueError(f"tolerance {key!r} must be positive, got {value}")
 
 
@@ -121,8 +141,7 @@ def run_norm_equivalence(params: dict) -> SuiteResult:
     }
     _apply_params(p, params, "tol_identity", "tol_bracket")
     spec = GridSpec(p["dim"], p["size"])
-    trials, aggregate = [], {}
-    passed = True
+    trials, aggregate, checks = [], {}, []
     for s in p["s_values"]:
         bound = norm_equivalence_constant(s, spec.dim)
         records = []
@@ -131,22 +150,18 @@ def run_norm_equivalence(params: dict) -> SuiteResult:
             ratio = hs_norm(F, float(s)) / hs_norm_derivative(inverse_transform(F), s)
             records.append({"s": s, "seed": p["seed"] + i, "ratio": ratio})
         ratios = np.array([rec["ratio"] for rec in records])
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
         if s <= 1:
-            ok = bool(np.max(np.abs(ratios - 1.0)) < p["tol_identity"])
+            ours = [check(f"s={s} identity", float(np.max(np.abs(ratios - 1.0))),
+                          p["tol_identity"], "<")]
         else:
-            ok = bool(
-                np.all(ratios >= 1.0 - p["tol_bracket"])
-                and np.all(ratios <= bound * (1.0 + p["tol_bracket"]))
-            )
-        aggregate[f"s={s}"] = {
-            "min_ratio": float(np.min(ratios)),
-            "max_ratio": float(np.max(ratios)),
-            "bound": bound,
-            "pass": ok,
-        }
+            ours = [check(f"s={s} lower", lo, 1.0 - p["tol_bracket"], ">="),
+                    check(f"s={s} upper", hi, bound * (1.0 + p["tol_bracket"]), "<=")]
+        aggregate[f"s={s}"] = {"min_ratio": lo, "max_ratio": hi, "bound": bound,
+                               "pass": all(c["pass"] for c in ours)}
         trials.extend(records)
-        passed = passed and ok
-    return p, trials, aggregate, passed
+        checks += ours
+    return p, trials, aggregate, checks
 
 
 def run_embedding(params: dict) -> SuiteResult:
@@ -173,8 +188,7 @@ def run_embedding(params: dict) -> SuiteResult:
         "bound": bound,
         "violations": int(sum(r > bound for r in ratios)),
     }
-    passed = aggregate["violations"] == 0
-    return p, records, aggregate, passed
+    return p, records, aggregate, [check("max_ratio", max(ratios), bound, "<=")]
 
 
 def run_algebra(params: dict) -> SuiteResult:
@@ -209,9 +223,9 @@ def run_algebra(params: dict) -> SuiteResult:
     values = np.array(list(envelopes.values()))
     mean = float(np.mean(values))
     spread = float(np.max(np.abs(values - mean)) / mean)
-    passed = spread <= p["stability"]
+    checks = [check("relative_spread", spread, p["stability"], "<=")]
     if p["k_max"] is not None:
-        passed = passed and bool(np.all(values <= p["k_max"]))
+        checks.append(check("max_envelope", float(np.max(values)), p["k_max"], "<="))
     aggregate = {
         "envelopes": {str(k): v for k, v in envelopes.items()},
         "mean": mean,
@@ -219,7 +233,7 @@ def run_algebra(params: dict) -> SuiteResult:
         "stability": p["stability"],
         "k_max": p["k_max"],
     }
-    return p, trials, aggregate, passed
+    return p, trials, aggregate, checks
 
 
 def run_quotient_rule(params: dict) -> SuiteResult:
@@ -259,12 +273,12 @@ def run_quotient_rule(params: dict) -> SuiteResult:
         {"case": "random", "residual": res_random, "tol": scale},
         {"case": "closure", "residual": res_closure, "tol": p["tol_closure"]},
     ]
-    passed = all(t["residual"] < t["tol"] for t in trials)
     aggregate = {
         "max_residual": max(t["residual"] for t in trials),
         "inf_one_plus_g": uset_membership(g_rand, p["epsilon"]).inf_value,
     }
-    return p, trials, aggregate, passed
+    return p, trials, aggregate, [check(f"{t['case']} residual", t["residual"], t["tol"], "<")
+                                  for t in trials]
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +321,11 @@ def run_group(params: dict) -> SuiteResult:
                 "inverse_derivative_residual": inv_res,
             }
         )
-    worst_id = max(rec["identity_defect"] for rec in records)
-    worst_chain = max(rec["chain_rule_residual"] for rec in records)
-    worst_inv = max(rec["inverse_derivative_residual"] for rec in records)
-    passed = (
-        worst_id < p["tol_identity"]
-        and worst_chain < p["tol_residual"]
-        and worst_inv < p["tol_residual"]
-    )
-    aggregate = {
-        "max_identity_defect": worst_id,
-        "max_chain_rule_residual": worst_chain,
-        "max_inverse_derivative_residual": worst_inv,
-    }
-    return p, records, aggregate, passed
+    keys = ("identity_defect", "chain_rule_residual", "inverse_derivative_residual")
+    aggregate = {f"max_{key}": max(rec[key] for rec in records) for key in keys}
+    tols = (p["tol_identity"], p["tol_residual"], p["tol_residual"])
+    return p, records, aggregate, [check(name, aggregate[name], tol, "<")
+                                   for name, tol in zip(aggregate, tols)]
 
 
 def _bundled_calculus_data(spec: GridSpec):
@@ -346,9 +351,9 @@ def run_taylor_identity(params: dict) -> SuiteResult:
     defects = calculus.taylor_defect(u, phi, du, dphi, p["r_values"])
     trials = [{"r": r, "defect": defect, "tol": p["tol_scale"] * (1.0 + hs_norm(u, p["s"] + r))}
               for r, defect in zip(p["r_values"], defects)]
-    passed = all(t["defect"] < t["tol"] for t in trials)
     aggregate = {"max_defect": max(t["defect"] for t in trials)}
-    return p, trials, aggregate, passed
+    return p, trials, aggregate, [check(f"r={t['r']} defect", t["defect"], t["tol"], "<")
+                                  for t in trials]
 
 
 def run_taylor_order(params: dict) -> SuiteResult:
@@ -372,15 +377,16 @@ def run_taylor_order(params: dict) -> SuiteResult:
         by_seed.append(calculus.remainder_order_probe(u, phi, dphi_dir, orders, s=p["s"]))
     records = [{"r": rec["order"], "seed": seed, **rec}  # in (r, seed) order
                for per_r in zip(*by_seed) for seed, rec in zip(p["seeds"], per_r)]
-    passed = all(
-        rec["degenerate"]
-        or (rec["monotone"] and rec["slope"] >= rec["r"] + p["slope_margin"])
-        for rec in records
-    )
     aggregate = {
         "slopes": {f"r={rec['r']},seed={rec['seed']}": rec["slope"] for rec in records}
     }
-    return p, records, aggregate, passed
+    checks = []
+    for name, rec in zip(aggregate["slopes"], records):
+        if not rec["degenerate"]:  # an identically zero direction is vacuous
+            decay = max(b / a for a, b in zip(rec["norms"], rec["norms"][1:]))
+            checks += [check(f"{name} monotone", decay, 1.0, "<"),
+                       check(f"{name} slope", rec["slope"], rec["r"] + p["slope_margin"], ">=")]
+    return p, records, aggregate, checks
 
 
 def run_inverse_differential(params: dict) -> SuiteResult:
@@ -399,13 +405,11 @@ def run_inverse_differential(params: dict) -> SuiteResult:
         calculus.inv_differential_fd_error(phi, dphi, eps, psi=psi) for eps in p["eps"]
     ]
     ratio = errors[0] / errors[1]
-    lo, hi = p["ratio_band"]
-    passed = lo <= ratio <= hi
     trials = [
         {"eps": eps, "fd_error": err} for eps, err in zip(p["eps"], errors)
     ]
-    aggregate = {"richardson_ratio": ratio, "band": [lo, hi]}
-    return p, trials, aggregate, passed
+    aggregate = {"richardson_ratio": ratio, "band": list(p["ratio_band"])}
+    return p, trials, aggregate, [check("richardson_ratio", ratio, aggregate["band"], "in")]
 
 
 def run_lipschitz(params: dict) -> SuiteResult:
@@ -429,10 +433,9 @@ def run_lipschitz(params: dict) -> SuiteResult:
     maxima = {radius: max(q) for radius, q in zip(radii, quots)}
     vals = list(maxima.values())
     change = abs(vals[0] - vals[1]) / vals[0]
-    passed = change <= p["stability"]
     trials = [{"radius": r, "max_quotient": v} for r, v in maxima.items()]
     aggregate = {"relative_change": change, "stability": p["stability"]}
-    return p, trials, aggregate, passed
+    return p, trials, aggregate, [check("relative_change", change, p["stability"], "<=")]
 
 
 def run_loss_of_derivative(params: dict) -> SuiteResult:
@@ -451,17 +454,19 @@ def run_loss_of_derivative(params: dict) -> SuiteResult:
     data = calculus.loss_of_derivative_probe(
         phi, dphi_dir, p["s"], octaves=p["octaves"]
     )
-    growth_ok = all(g >= p["growth_min"] for g in data["growth_factors"])
     right = np.array(data["right_quotients"])
     median = float(np.median(right))
-    right_ok = bool(np.all(np.abs(right - median) <= p["right_band"] * median))
-    passed = growth_ok and right_ok
+    checks = [
+        check("min_growth_factor", min(data["growth_factors"]), p["growth_min"], ">="),
+        check("right_deviation", float(np.max(np.abs(right - median))),
+              p["right_band"] * median, "<="),
+    ]
     aggregate = {
         "growth_factors": data["growth_factors"],
         "right_quotients": data["right_quotients"],
         "right_median": median,
     }
-    return p, [data], aggregate, passed
+    return p, [data], aggregate, checks
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +485,9 @@ def run_geodesic(params: dict) -> SuiteResult:
         "d0_band": [1.7, 2.3],
         "rk4_band": [3.7, 4.3],
     }
-    _apply_params(p, params, "tol_flat", "tol_scaling", "tol_energy")
     # N >= 16 for the |k| <= 8 velocity fields; RK4 takes at least MIN_STEPS
-    for key, least in zip(("size", "steps", "scaling_steps"), (16,) + (geodesic.MIN_STEPS,) * 2):
-        if not isinstance(p[key], (int, np.integer)) or isinstance(p[key], bool) or p[key] < least:
-            raise ValueError(f"parameter {key!r} must be an integer >= {least}, got {p[key]!r}")
+    _apply_params(p, params, "tol_flat", "tol_scaling", "tol_energy",
+                  size=16, steps=geodesic.MIN_STEPS, scaling_steps=geodesic.MIN_STEPS)
     spec = GridSpec(1, p["size"])
     x = spec.axis_coordinates()
     trials = []
@@ -533,15 +536,14 @@ def run_geodesic(params: dict) -> SuiteResult:
     _, rk4_slope = geodesic.rk4_order_errors(conf, probe_points[1], probe_vels[1])
     trials.append({"check": "rk4_order", "slope": rk4_slope})
 
-    d0lo, d0hi = p["d0_band"]
-    rklo, rkhi = p["rk4_band"]
-    passed = (
-        flat_defect < p["tol_flat"]
-        and all(v < p["tol_scaling"] for v in scaling_defects.values())
-        and all(d0lo <= r <= d0hi for r in d0_ratios)
-        and energy_drift < p["tol_energy"]
-        and rklo <= rk4_slope <= rkhi
-    )
+    checks = [
+        check("flat_defect", flat_defect, p["tol_flat"], "<"),
+        *(check(f"scaling_defect lam={lam}", v, p["tol_scaling"], "<")
+          for lam, v in scaling_defects.items()),
+        *(check(f"d0_ratio {i}", r, p["d0_band"], "in") for i, r in enumerate(d0_ratios)),
+        check("energy_drift", energy_drift, p["tol_energy"], "<"),
+        check("rk4_slope", rk4_slope, p["rk4_band"], "in"),
+    ]
     aggregate = {
         "flat_defect": flat_defect,
         "scaling_defects": {str(k): v for k, v in scaling_defects.items()},
@@ -549,7 +551,7 @@ def run_geodesic(params: dict) -> SuiteResult:
         "energy_drift": energy_drift,
         "rk4_slope": rk4_slope,
     }
-    return p, trials, aggregate, passed
+    return p, trials, aggregate, checks
 
 
 def run_fractional(params: dict) -> SuiteResult:
@@ -591,14 +593,15 @@ def run_fractional(params: dict) -> SuiteResult:
         rhs = (1.0 / M) * L ** (0.5 + lam) * slobodeckij_seminorm(f, lam)
         records.append({"pair": i, "lhs": lhs, "bound": rhs, "ratio": lhs / rhs})
     worst = max(rec["ratio"] for rec in records)
-    passed = oracle_rel <= p["oracle_rel_tol"] and worst <= p["slack"]
+    checks = [check("oracle_relative_error", oracle_rel, p["oracle_rel_tol"], "<="),
+              check("max_bound_ratio", worst, p["slack"], "<=")]
     aggregate = {
         "oracle_relative_error": oracle_rel,
         "max_bound_ratio": worst,
         "slack": p["slack"],
     }
     trials = [{"check": "oracle", "relative_error": oracle_rel}] + records
-    return p, trials, aggregate, passed
+    return p, trials, aggregate, checks
 
 
 # ---------------------------------------------------------------------------
@@ -660,29 +663,23 @@ def run_suite(name: str, params: dict | None = None) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}")
     params = normalize_params(params or {})
     start = time.perf_counter()
-    p, trials, aggregate, passed = SUITES[name](params)
-    return SuiteReport(name, p, trials, aggregate, passed, time.perf_counter() - start)
+    p, trials, aggregate, checks = SUITES[name](params)
+    passed = all(c["pass"] for c in checks)
+    return SuiteReport(name, p, trials, aggregate, checks, passed, time.perf_counter() - start)
 
 
 def run_all(config: dict) -> tuple[list[SuiteReport], dict]:
     """Run every configured suite; errors fail the aggregate but not the run."""
     entries = parse_config(config)
     reports = []
-    summary = {"schema_version": SCHEMA_VERSION, "suites": [], "pass": True}
+    summary = {"schema_version": SCHEMA_VERSION, "suites": []}
     if not entries:
         summary["warning"] = "empty suite list: vacuous pass"
-        return reports, summary
     for entry in entries:
         try:
-            report = run_suite(entry["suite"], entry["params"])
-            reports.append(report)
-            summary["suites"].append(
-                {"suite": entry["suite"], "pass": report.passed}
-            )
-            summary["pass"] = summary["pass"] and report.passed
+            reports.append(run_suite(entry["suite"], entry["params"]))
+            summary["suites"].append({"suite": entry["suite"], "pass": reports[-1].passed})
         except Exception as exc:  # noqa: BLE001 - surfaced in the summary
-            summary["suites"].append(
-                {"suite": entry["suite"], "pass": False, "error": str(exc)}
-            )
-            summary["pass"] = False
+            summary["suites"].append({"suite": entry["suite"], "pass": False, "error": str(exc)})
+    summary["pass"] = all(entry["pass"] for entry in summary["suites"])
     return reports, summary

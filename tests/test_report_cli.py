@@ -88,7 +88,8 @@ def test_suite_report_rejects_unknown_key():
 
 
 @pytest.mark.parametrize(
-    "key", ["schema_version", "suite", "params", "trials", "aggregate", "pass", "wall_time_s"]
+    "key",
+    ["schema_version", "suite", "params", "trials", "aggregate", "checks", "pass", "wall_time_s"],
 )
 def test_suite_report_rejects_truncated_payload(key):
     payload = SuiteReport("demo", {"seed": 1}, aggregate={"x": 1.0}, passed=True).to_dict()
@@ -508,6 +509,50 @@ def test_geodesic_runs_at_its_smallest_size():
     assert run_suite("geodesic", {"size": 16, "steps": 16, "scaling_steps": 16}).params["size"] == 16
 
 
+WRONG_TYPES = [
+    ("geodesic", "d0_band", ["a", 2]),
+    ("geodesic", "rk4_band", [3.7, None]),
+    ("inverse-differential", "eps", [1e-3, "5e-4"]),
+    ("inverse-differential", "ratio_band", [3.5, True]),
+    ("norm-equivalence", "tol_identity", "1e-10"),
+    ("norm-equivalence", "tol_identity", True),
+    ("algebra", "stability", [0.1]),
+    ("algebra", "k_max", "big"),
+    ("algebra", "k_max", False),
+    ("fractional", "slack", None),
+]
+
+
+@pytest.mark.parametrize("name, key, value", WRONG_TYPES)
+def test_a_value_of_the_wrong_type_fails_before_any_work(no_work, name, key, value):
+    """A string, a bool, a null or a list where a real number belongs used to
+    crash unnamed inside the suite, or (`true`, `"big"`) to run it."""
+    reports, summary = run_all({"suites": [{"suite": name, key: value}]})
+    [entry] = summary["suites"]
+    assert not reports and summary["pass"] is False
+    assert entry["error"].startswith(("tolerance", "parameter")) and repr(key) in entry["error"]
+    assert "real number" in entry["error"] and repr(value) in entry["error"]
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [("embedding", "trials", 0), ("algebra", "trials", 0), ("group", "trials", 0),
+     ("norm-equivalence", "trials", 0), ("lipschitz", "trials", 0), ("fractional", "pairs", 0),
+     ("fractional", "pairs", -1), ("embedding", "trials", 2.5), ("group", "trials", True),
+     ("lipschitz", "trials", "3")],
+)
+def test_a_count_below_one_or_not_an_integer_fails_before_any_work(no_work, name, key, value):
+    reports, summary = run_all({"suites": [{"suite": name, key: value}]})
+    [entry] = summary["suites"]
+    assert not reports and summary["pass"] is False
+    assert entry["error"] == f"parameter {key!r} must be an integer >= 1, got {value!r}"
+
+
+def test_a_real_k_max_still_runs():
+    report = run_suite("algebra", {"sizes": [32, 64], "trials": 10, "k_max": 1})
+    assert report.passed and [c["name"] for c in report.checks] == ["relative_spread", "max_envelope"]
+
+
 # the suites that take `dim`, at small T^2 sizes; every other suite is T^1 only
 T2_PARAMS = {
     "norm-equivalence": {"size": 16, "trials": 5},
@@ -642,6 +687,23 @@ def test_cli_verify_all_writes_reports(tmp_path, capsys):
     for name in ("norm-equivalence", "embedding"):
         rep = json.loads((out_dir / f"{name}.json").read_text())
         assert rep["pass"] is True
+
+
+def test_cli_verify_all_prints_each_suites_tightest_check(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", fast_config())
+    assert main(["verify-all", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("norm-equivalence: PASS (")
+    assert "; tightest s=2 lower " in lines[0] and ", margin " in lines[0]
+    assert "; tightest max_ratio " in lines[1] and lines[2] == "overall: PASS"
+
+
+def test_cli_verify_prints_only_the_failing_checks(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"sizes": [32, 64], "trials": 10, "k_max": 0})
+    assert main(["verify", "algebra", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("algebra: FAIL (") and "; tightest max_envelope " in captured.out
+    assert captured.err.startswith("  failed max_envelope ") and captured.err.count("\n") == 1
 
 
 def test_cli_verify_all_forced_failure(tmp_path, capsys):
