@@ -1,11 +1,12 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_4.json
+    python3 bench/run.py --out BENCH_6.json
 
-Times `grid.evaluate` and RK4 geodesic stepping on fixed seeded inputs (the
-rows below) and writes one JSON record: machine info, then per row the
-median and quartiles of the seconds per call over RUNS runs (each run times
-enough calls to last about 0.2 s); RK4 rows also give them per step.  BLAS
+Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack` and
+RK4 geodesic stepping on fixed seeded inputs (the rows below) and writes
+one JSON record: machine info, then per row the median and quartiles of
+the seconds per call over RUNS runs (each run times enough calls to last
+about 0.2 s); RK4 rows also give them per step.  BLAS
 and OpenMP are pinned to one thread before numpy is imported, so rows
 measure the code, not the thread pool.  It imports
 torusdiff from the `src/` next to this directory; to measure another
@@ -30,8 +31,10 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from torusdiff.diffeo import certify_stack, invert, make_diffeo  # noqa: E402
 from torusdiff.geodesic import conformal_metric_2d, exp_field, geodesic_flow  # noqa: E402
-from torusdiff.grid import GridFunction, GridSpec, evaluate, fourier_truncate, random_field  # noqa: E402
+from torusdiff.grid import GridFunction, GridSpec, evaluate, fourier_truncate, random_field, refine  # noqa: E402
+from torusdiff.suites import random_certified_displacement  # noqa: E402
 
 RUNS = 9  # timed runs per row
 
@@ -41,6 +44,21 @@ EVALUATE_ROWS = [
     ("evaluate/2d-N64-P4096", 2, 64, 4096, None),
     ("evaluate/2d-N64-P4096-band4", 2, 64, 4096, 4),
     ("evaluate/2d-N128-P16384", 2, 128, 16384, None),
+]
+
+# (row name, dim, grid size N, refinement factor, components): `refine` of a
+# full-band field, as the certificate refines a map's gradient
+REFINE_ROWS = [
+    ("refine/2d-N64-x4-d4", 2, 64, 4, 4),
+]
+
+# (row name, dim, grid size N): Newton `invert` of, or `certify_stack` on, the
+# group suite's map at its seed 13 (|k| <= N/16, sup|du|_op = 0.2)
+MAP_ROWS = [
+    ("invert/1d-N256", 1, 256),
+    ("invert/2d-N64", 2, 64),
+    ("invert/2d-N128", 2, 128),
+    ("certify_stack/2d-N64", 2, 64),
 ]
 
 # (row name, points, steps): RK4 on conformal_metric_2d, one geodesic through
@@ -77,6 +95,11 @@ def time_row(fn, runs: int) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs": runs, "calls_per_run": number}
 
 
+def print_ms(name: str, row: dict):
+    print(f"{name:32s} median {row['median_s'] * 1e3:9.3f} ms  "
+          f"(q1 {row['q1_s'] * 1e3:.3f}, q3 {row['q3_s'] * 1e3:.3f}, n={row['runs']})")
+
+
 def evaluate_rows(runs: int = RUNS) -> dict:
     out = {}
     for name, dim, size, num_points, band in EVALUATE_ROWS:
@@ -88,8 +111,33 @@ def evaluate_rows(runs: int = RUNS) -> dict:
         row = time_row(lambda: evaluate(F, pts), runs)
         row.update(dim=dim, size=size, points=num_points, components=dim, band=band)
         out[name] = row
-        print(f"{name:32s} median {row['median_s'] * 1e3:9.3f} ms  "
-              f"(q1 {row['q1_s'] * 1e3:.3f}, q3 {row['q3_s'] * 1e3:.3f}, n={runs})")
+        print_ms(name, row)
+    return out
+
+
+def refine_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, dim, size, factor, components in REFINE_ROWS:
+        F = random_field(GridSpec(dim, size), 2.0, 1, components=components)
+        row = time_row(lambda: refine(F, factor), runs)
+        row.update(dim=dim, size=size, factor=factor, components=components)
+        out[name] = row
+        print_ms(name, row)
+    return out
+
+
+def map_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, dim, size in MAP_ROWS:
+        u = random_certified_displacement(GridSpec(dim, size), 13, size // 16, 0.2)
+        if name.startswith("invert/"):
+            phi = make_diffeo(u)
+            row = time_row(lambda: invert(phi), runs)
+        else:
+            row = time_row(lambda: certify_stack(u), runs)
+        row.update(dim=dim, size=size, seed=13, modes=size // 16)
+        out[name] = row
+        print_ms(name, row)
     return out
 
 
@@ -122,7 +170,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON record path")
     args = parser.parse_args(argv)
-    record = {"machine": machine(), "rows": {**evaluate_rows(), **rk4_rows()}}
+    rows = {**evaluate_rows(), **refine_rows(), **map_rows(), **rk4_rows()}
+    record = {"machine": machine(), "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

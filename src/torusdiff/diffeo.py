@@ -226,9 +226,11 @@ def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
 
     Solves phi(x) = y for every grid point y with x0 = y, halving a point's
     step (up to NEWTON_HALVINGS times per sweep) while its residual would grow.
-    The first sweep reads u(y) and d phi(y) from phi's stored grid values;
-    later sweeps evaluate only at points whose last step was >= tol.  The
-    final map id + v interpolates x - y and satisfies
+    The first sweep reads u(y) and d phi(y) from phi's stored grid values.
+    Every trial point then costs one evaluate of the stacked spectrum
+    [u; du], at the points whose last step was >= tol only: its first n rows
+    give the residual, the others d phi there for the next sweep's solve.
+    The final map id + v interpolates x - y and satisfies
     max |phi(phi^{-1}(y)) - y| < 10*tol, or InversionError is raised.
     Re-certification checks orientation and conditioning only; the result
     is injective by construction, so a contraction bound >= 1 is recorded
@@ -237,18 +239,17 @@ def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
     spec = phi.spec
     n = spec.dim
     y = spec.points().T  # (n, P)
-    grad = _displacement_gradient(phi.displacement)
+    u = phi.displacement
+    grad = _displacement_gradient(u).coeffs
+    stacked = _trusted(Spectrum, spec, np.concatenate([u.coeffs, grad]))  # [u; du]
 
     x = y.copy()
     r = phi.disp_values.reshape(n, -1).copy()
     rnorm = np.linalg.norm(r, axis=0)
-    jac_pts = phi.jacobian.reshape(n * n, -1)
+    jac = phi.jacobian.reshape(n * n, -1).copy()
     active = np.arange(y.shape[1])  # points whose last step was >= tol
-    for sweep in range(max_iter):
-        if sweep:
-            jac_pts = evaluate(grad, x[:, active].T)
-            jac_pts[:: n + 1] += 1.0  # d phi = I + du
-        step = solve_jacobian(jac_pts, r[:, active])
+    for _ in range(max_iter):
+        step = solve_jacobian(jac[:, active], r[:, active])
         start, limit = x[:, active], np.maximum(rnorm[active], 10.0 * tol)
         todo = np.arange(len(active))  # steps whose residual may still grow
         for halving in range(NEWTON_HALVINGS + 1):
@@ -256,7 +257,10 @@ def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
                 step[:, todo] /= 2.0
             at = active[todo]
             x[:, at] = start[:, todo] - step[:, todo]
-            r[:, at] = x[:, at] + evaluate(phi.displacement, x[:, at].T) - y[:, at]
+            vals = evaluate(stacked, x[:, at].T)
+            vals[n :: n + 1] += 1.0  # d phi = I + du
+            r[:, at] = x[:, at] + vals[:n] - y[:, at]
+            jac[:, at] = vals[n:]
             rnorm[at] = np.linalg.norm(r[:, at], axis=0)
             todo = todo[rnorm[at] > limit[todo]]
             if not len(todo):

@@ -183,7 +183,7 @@ def inverse_transform(F: Spectrum) -> GridFunction:
     spectra, plus at most sum_k |fhat_k - conj(fhat_{-k})| / 2 otherwise."""
     spec, half = F.spec, F.coeffs[..., : F.spec.size // 2 + 1]
     vals = np.fft.irfftn(half, s=spec.shape, axes=spec.spatial_axes())
-    return _trusted(GridFunction, spec, vals * spec.num_points)
+    return _trusted(GridFunction, spec, np.multiply(vals, spec.num_points, out=vals))
 
 
 def _extend_axis(coeffs: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -388,8 +388,10 @@ def random_field(spec: GridSpec, s: float, seed: int, components: int = 1) -> Sp
 
 
 def refine(F: Spectrum, factor: int) -> GridFunction:
-    """Trigonometric interpolation onto a grid refined by `factor`, by irfftn
-    of the k_last >= 0 half (precision contract as in inverse_transform)."""
+    """Trigonometric interpolation onto a grid refined by `factor`: bit for bit irfftn
+    of the k_last >= 0 half zero-padded to the fine grid, with the 2D axis-0 inverse
+    FFT run over the N/2+1 columns that hold it and irfft padding the rest (precision
+    contract as in inverse_transform)."""
     if factor < 1 or not isinstance(factor, (int, np.integer)):
         raise ValueError(f"factor must be a positive integer, got {factor}")
     if factor == 1:
@@ -397,16 +399,15 @@ def refine(F: Spectrum, factor: int) -> GridFunction:
     spec = F.spec
     fine = spec.refined(factor)
     half = spec.size // 2
-    # The k_last = 0..N/2 half of the -N/2..N/2 block, scattered into the fine one.
+    # The k_last = 0..N/2 half of the -N/2..N/2 block, Nyquist split evenly.
     ext = F.coeffs[..., : half + 1].copy()
     ext[..., half] *= 0.5
-    for ax in spec.spatial_axes()[:-1]:
-        ext = _extend_axis(ext, ax, spec.size)
-    dest = np.arange(-half, half + 1) % fine.size
-    out = np.zeros(ext.shape[:1] + fine.shape[:-1] + (fine.size // 2 + 1,), complex)
-    out[np.ix_(range(F.num_components), *[dest] * (spec.dim - 1), dest[half:])] = ext
-    vals = np.fft.irfftn(out, s=fine.shape, axes=fine.spatial_axes())
-    return _trusted(GridFunction, fine, vals * fine.num_points)
+    if spec.dim == 2:  # axis-0 inverse FFT over the k_2 = 0..N/2 columns alone
+        cols = np.zeros((len(ext), fine.size, half + 1), complex)
+        cols[:, np.arange(-half, half + 1) % fine.size] = _extend_axis(ext, 1, spec.size)
+        ext = np.fft.ifft(cols, axis=1)
+    vals = np.fft.irfft(ext, n=fine.size, axis=-1)  # zero-pads k_last up to 2N
+    return _trusted(GridFunction, fine, np.multiply(vals, fine.num_points, out=vals))
 
 
 def _restrict_axis(coeffs: np.ndarray, axis: int, coarse: int) -> np.ndarray:

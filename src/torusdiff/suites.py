@@ -10,6 +10,7 @@ bit for bit.  Trials run one after another in each suite's own loop.
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 
 import numpy as np
@@ -98,6 +99,8 @@ def _require_positive(params: dict, keys: tuple[str, ...]):
             raise ValueError(f"tolerance {key!r} must be {kind}, got {value!r}")
         if not all(entry > 0 for entry in entries):
             raise ValueError(f"tolerance {key!r} must be positive, got {value}")
+        if not all(entry >= sys.float_info.min for entry in entries):  # margins divide by it
+            raise ValueError(f"tolerance {key!r} must be a normal float, got {value}")
 
 
 def _sine_displacement(spec: GridSpec, amplitude: float) -> Spectrum:

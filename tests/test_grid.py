@@ -451,6 +451,37 @@ def test_refine_takes_only_the_k_last_half(dim, size, components):
         assert np.array_equal(refine(F, factor).values, refine_by_full_extension(F, factor))
 
 
+def irfftn_refine(F, factor):
+    """The irfftn form refine replaced: scatter the k_last = 0..N/2 half into
+    the whole zero-padded fine half-spectrum and run irfftn over every axis,
+    the first-axis inverse FFT included on the all-zero columns."""
+    spec = F.spec
+    fine = spec.refined(factor)
+    half = spec.size // 2
+    ext = F.coeffs[..., : half + 1].copy()
+    ext[..., half] *= 0.5
+    for ax in spec.spatial_axes()[:-1]:
+        ext = _extend_axis(ext, ax, spec.size)
+    dest = np.arange(-half, half + 1) % fine.size
+    out = np.zeros(ext.shape[:1] + fine.shape[:-1] + (fine.size // 2 + 1,), complex)
+    out[np.ix_(range(F.num_components), *[dest] * (spec.dim - 1), dest[half:])] = ext
+    return np.fft.irfftn(out, s=fine.shape, axes=fine.spatial_axes()) * fine.num_points
+
+
+@pytest.mark.parametrize("components", [1, 4])
+@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 32)])
+def test_refine_matches_irfftn_of_the_zero_padded_half_bit_for_bit(dim, size, factor, components):
+    """Running the 2D first-axis inverse FFT over the nonzero k_2 = 0..N/2
+    columns alone and letting irfft zero-pad the last axis changes no bit,
+    with Nyquist content on every axis (white_noise_spectrum checks it)."""
+    spec = GridSpec(dim, size)
+    F = white_noise_spectrum(spec, components, 97 * size + 10 * factor + components)
+    fast = refine(F, factor)
+    assert fast.spec == spec.refined(factor)
+    assert np.array_equal(fast.values, irfftn_refine(F, factor))
+
+
 def restrict_axis_by_sort(coeffs, axis, coarse):
     """The sort-and-concatenate form _restrict_axis replaced."""
     fine = coeffs.shape[axis]

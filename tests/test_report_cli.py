@@ -425,6 +425,15 @@ def test_suites_reject_a_non_positive_tolerance(no_work, name, key, value):
         run_suite(name, {key: value})
 
 
+@pytest.mark.parametrize("name, key", [(n, k) for n, keys in POSITIVE.items() for k in keys])
+def test_suites_reject_a_subnormal_tolerance(no_work, name, key):
+    """A margin divides by its bound: 1e-320 would overflow it to -inf,
+    which strict JSON cannot hold, so it fails before any work."""
+    value = [1e-320, 1.0] if key in suites._PAIRS else 1e-320
+    with pytest.raises(ValueError, match=f"tolerance '{key}' must be a normal float"):
+        run_suite(name, {key: value})
+
+
 @pytest.mark.parametrize("name", list(SUITES))
 def test_every_suite_rejects_an_unknown_param(no_work, name):
     with pytest.raises(ValueError, match="unknown parameter 'trails'"):
