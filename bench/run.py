@@ -1,16 +1,17 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_6.json
+    python3 bench/run.py --out BENCH_8.json
 
-Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack` and
-RK4 geodesic stepping on fixed seeded inputs (the rows below) and writes
-one JSON record: machine info, then per row the median and quartiles of
-the seconds per call over RUNS runs (each run times enough calls to last
-about 0.2 s); RK4 rows also give them per step.  BLAS
-and OpenMP are pinned to one thread before numpy is imported, so rows
-measure the code, not the thread pool.  It imports
-torusdiff from the `src/` next to this directory; to measure another
-checkout, copy this file into that checkout's `bench/` and run it there.
+Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack`, RK4
+geodesic stepping, the dealiased `multiply` and the Taylor-expansion calls
+`taylor_defect` and `remainder_order_probe` on fixed seeded inputs (the
+rows below) and writes one JSON record: machine info, then per row the
+median and quartiles of the seconds per call over RUNS runs (each run
+times enough calls to last about 0.2 s); RK4 rows also give them per
+step.  BLAS and OpenMP are pinned to one thread before numpy is imported,
+so rows measure the code, not the thread pool.  It imports torusdiff from
+the `src/` next to this directory; to measure another checkout, copy this
+file into that checkout's `bench/` and run it there.
 Not part of the test suite.
 """
 
@@ -23,6 +24,7 @@ import platform
 import statistics
 import sys
 import timeit
+import warnings
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -31,10 +33,22 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from torusdiff.algebra import multiply  # noqa: E402
+from torusdiff.calculus import remainder_order_probe, taylor_defect  # noqa: E402
 from torusdiff.diffeo import certify_stack, invert, make_diffeo  # noqa: E402
 from torusdiff.geodesic import conformal_metric_2d, exp_field, geodesic_flow  # noqa: E402
-from torusdiff.grid import GridFunction, GridSpec, evaluate, fourier_truncate, random_field, refine  # noqa: E402
-from torusdiff.suites import random_certified_displacement  # noqa: E402
+from torusdiff.grid import (  # noqa: E402
+    GridFunction,
+    GridSpec,
+    Spectrum,
+    evaluate,
+    fourier_truncate,
+    inverse_transform,
+    random_field,
+    refine,
+)
+from torusdiff.norms import hs_norm  # noqa: E402
+from torusdiff.suites import _bundled_calculus_data, random_certified_displacement  # noqa: E402
 
 RUNS = 9  # timed runs per row
 
@@ -66,6 +80,15 @@ MAP_ROWS = [
 RK4_ROWS = [
     ("rk4/geodesic_flow-P1-steps8192", 1, 8192),
     ("rk4/exp_field-P4096-steps64", 4096, 64),
+]
+
+# 1D rows at N = 256: `multiply` of two random H^2 fields; the taylor-identity
+# suite's expansion (orders 1 and 2) on its bundled data; one scale (0.5) of
+# the taylor-order suite's probe on that suite's seed-101 directions
+CALCULUS_ROWS = [
+    "multiply/1d-N256",
+    "taylor_defect/1d-N256-r12",
+    "remainder_order_probe/1d-N256-r12-one-scale",
 ]
 
 
@@ -166,11 +189,41 @@ def rk4_rows(runs: int = RUNS) -> dict:
     return out
 
 
+def calculus_call(name: str):
+    """The timed call of a CALCULUS_ROWS row."""
+    spec = GridSpec(1, 256)
+    if name.startswith("multiply/"):
+        f, g = (inverse_transform(random_field(spec, 2.0, seed)) for seed in (1, 2))
+        return lambda: multiply(f, g)
+    u, phi, du, dphi = _bundled_calculus_data(spec)
+    if name.startswith("taylor_defect/"):
+        return lambda: taylor_defect(u, phi, du, dphi, [1, 2])
+    orders = []  # as run_taylor_order builds them at seed 101, s = 2
+    for r in (1, 2):
+        du_dir = fourier_truncate(random_field(spec, 2.0 + r, 101), 8)
+        orders.append((r, Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, 2.0 + r))))
+    dphi_dir = inverse_transform(random_certified_displacement(spec, 108, 8, 0.5))
+    # one scale leaves the slope's line fit underdetermined: silence its warning
+    warnings.filterwarnings("ignore", "Polyfit may be poorly conditioned")
+    return lambda: remainder_order_probe(u, phi, dphi_dir, orders, s=2.0, scales=(0.5,))
+
+
+def calculus_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name in CALCULUS_ROWS:
+        row = time_row(calculus_call(name), runs)
+        row.update(dim=1, size=256)
+        out[name] = row
+        print_ms(name, row)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON record path")
     args = parser.parse_args(argv)
-    rows = {**evaluate_rows(), **refine_rows(), **map_rows(), **rk4_rows()}
+    rows = {**evaluate_rows(), **refine_rows(), **map_rows(), **rk4_rows(),
+            **calculus_rows()}
     record = {"machine": machine(), "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -61,6 +61,21 @@ def _monomial(dphi: GridFunction, alpha: tuple[int, ...]) -> GridFunction:
     return out
 
 
+def _jet_pullback(jets: list[tuple[Spectrum, tuple]], maps: list[Diffeo]) -> np.ndarray:
+    """d^a F for every (F, a) in `jets`, stacked jet after jet, at every map
+    in `maps` from one compose_stack: shape (len(maps), rows, *shape)."""
+    stack = np.concatenate([differentiate_multi(F, alpha).coeffs for F, alpha in jets])
+    return compose_stack(_trusted(Spectrum, maps[0].spec, stack), maps)
+
+
+def _contract(rows, alphas: list[tuple], dphi: GridFunction) -> np.ndarray:
+    """sum_a rows[a] dphi^a over `alphas` (each row carries its weight): one
+    dealiased product by _monomial(dphi, a) per a != 0, the a = 0 row as is."""
+    spec = dphi.spec
+    return sum(multiply(GridFunction(spec, row), _monomial(dphi, al)).values if any(al) else row
+               for al, row in zip(alphas, rows))
+
+
 def path_diffeo(phi: Diffeo, dphi: GridFunction, ts) -> list[Diffeo]:
     """Certified diffeomorphisms id + (u_phi + t * dphi) for each t in `ts`
     and, for a dphi of B*n components, each of its B directions: the list of
@@ -71,44 +86,31 @@ def path_diffeo(phi: Diffeo, dphi: GridFunction, ts) -> list[Diffeo]:
     return certify_stack(forward_transform(GridFunction(spec, vals)), phi.min_det_floor)
 
 
-def eta_k(
-    u: Spectrum,
-    phi: Diffeo,
-    du: Spectrum,
-    dphi: GridFunction,
-    k: int,
-) -> GridFunction:
+def eta_k(u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, k: int) -> GridFunction:
     """k-th Taylor coefficient of the composition map at (u, phi).
 
     eta_k = sum_{|a|=k} (k!/a!) (d^a u o phi) dphi^a
           + sum_{|a|=k-1} (k!/a!) (d^a du o phi) dphi^a.
 
-    Returns the k-th derivative as a field; divide by k! for the Taylor term.
+    Every d^a u and d^a du meet phi in one jet pullback, and each weighted
+    term meets dphi^a in one dealiased product (none for a = 0).  Returns
+    the k-th derivative as a field; divide by k! for the Taylor term.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = phi.spec
-    n = spec.dim
-    acc = np.zeros((u.num_components,) + spec.shape)
-
-    def accumulate(F: Spectrum, order: int):
-        for alpha in _exact_indices(n, order):
-            coeff = math.factorial(k) / math.prod(math.factorial(a) for a in alpha)
-            comp = compose_function(differentiate_multi(F, alpha), phi)
-            if order == 0:
-                acc[...] += coeff * comp.values
-            else:
-                acc[...] += coeff * multiply(comp, _monomial(dphi, alpha)).values
-
-    accumulate(u, k)
-    accumulate(du, k - 1)
-    return GridFunction(spec, acc)
+    jets = [(u, al) for al in _exact_indices(phi.dim, k)]
+    jets += [(du, al) for al in _exact_indices(phi.dim, k - 1)]
+    pulled = _jet_pullback(jets, [phi]).reshape((len(jets), -1) + phi.spec.shape)
+    rows = [math.factorial(k) / math.prod(map(math.factorial, al)) * row
+            for (_, al), row in zip(jets, pulled)]
+    return GridFunction(phi.spec, _contract(rows, [al for _, al in jets], dphi))
 
 
 def taylor_remainder(
-    u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, r: int, path: list | None = None
-) -> GridFunction:
-    """Both integral remainders R1 + R2 of the order-r expansion:
+    u: Spectrum, phi: Diffeo, dphi: GridFunction, pairs, path: list | None = None
+) -> list[GridFunction]:
+    """Both integral remainders R1 + R2 of the order-r expansion, as one
+    GridFunction for each (r, du) in `pairs`:
 
     R1 = sum_{|a|=r} (r/a!) int_0^1 (1-t)^{r-1}
          [(d^a u)(phi + t dphi) - (d^a u)(phi)] dphi^a dt,
@@ -116,64 +118,60 @@ def taylor_remainder(
          (d^a du)(phi + t dphi) dphi^a dt.
 
     The Gauss-Legendre path maps (`path`, else certified here in one call)
-    and d^a u, d^a du for every |a| = r, stacked as one spectrum, meet in
-    one compose_stack at phi and every node; each multi-index's weighted
-    node sum meets dphi^a in one dealiased product (the product is linear,
-    so only the order of summation changes).
+    and d^a [u; du] for every pair and |a| = r meet in one jet pullback at
+    phi and every node; each multi-index's weighted node sum meets dphi^a
+    in one dealiased product (the product is linear, so only the order of
+    summation changes).
     """
-    if r < 1:
+    if any(r < 1 for r, _ in pairs):
         raise ValueError("r must be >= 1")
     spec = phi.spec
     ts, ws = _gauss_legendre_01(GL_NODES)
     path = path_diffeo(phi, dphi, ts) if path is None else path
-    alphas = _exact_indices(spec.dim, r)
-    factors = np.array([r / math.prod(math.factorial(a) for a in al) for al in alphas])
-    factors = factors.reshape((-1,) + (1,) * (1 + spec.dim))  # over (component, *shape)
-    both = _trusted(Spectrum, spec, np.concatenate([u.coeffs, du.coeffs]))
-    stack = _trusted(  # rows (a, field, component)
-        Spectrum, spec, np.concatenate([differentiate_multi(both, al).coeffs for al in alphas])
-    )
-    rows = (len(alphas), 2, u.num_components) + spec.shape
-    at_phi, *at_nodes = compose_stack(stack, [phi, *path]).reshape((-1,) + rows)
-    base = at_phi[:, 0]
-    node_sum = np.zeros_like(base)
-    for t, w, vals in zip(ts, ws, at_nodes):
-        bracket = (vals[:, 0] - base) + vals[:, 1]
-        node_sum += factors * w * (1.0 - t) ** (r - 1) * bracket
-    acc = np.zeros_like(base[0])
-    for alpha, term in zip(alphas, node_sum):
-        acc += multiply(GridFunction(spec, term), _monomial(dphi, alpha)).values
-    return GridFunction(spec, acc)
+    alphas = [_exact_indices(spec.dim, r) for r, _ in pairs]
+    both = [_trusted(Spectrum, spec, np.concatenate([u.coeffs, du.coeffs])) for _, du in pairs]
+    jets = [(F, al) for F, als in zip(both, alphas) for al in als]
+    pulled = _jet_pullback(jets, [phi, *path])  # axes (map, jet, field u/du, component, *shape)
+    pulled = pulled.reshape((len(pulled), len(jets), 2, u.num_components) + spec.shape)
+    out, bounds = [], np.cumsum([len(als) for als in alphas])[:-1]
+    for (r, _), als, (at_phi, *at_nodes) in zip(pairs, alphas, np.split(pulled, bounds, axis=1)):
+        factors = np.array([r / math.prod(map(math.factorial, al)) for al in als])
+        factors = factors.reshape((-1,) + (1,) * (1 + spec.dim))  # over (component, *shape)
+        node_sum = np.zeros_like(at_phi[:, 0])
+        for t, w, vals in zip(ts, ws, at_nodes):
+            bracket = (vals[:, 0] - at_phi[:, 0]) + vals[:, 1]
+            node_sum += factors * w * (1.0 - t) ** (r - 1) * bracket
+        out.append(GridFunction(spec, _contract(node_sum, als, dphi)))
+    return out
 
 
 def remainder_r1(u: Spectrum, phi: Diffeo, dphi: GridFunction, r: int) -> GridFunction:
-    """R1 alone: `taylor_remainder` with a zero field increment."""
-    return taylor_remainder(u, phi, Spectrum(u.spec, np.zeros_like(u.coeffs)), dphi, r)
+    """R1 alone: the one-pair `taylor_remainder` with a zero field increment."""
+    return taylor_remainder(u, phi, dphi, [(r, Spectrum(u.spec, np.zeros_like(u.coeffs)))])[0]
 
 
 def remainder_r2(du: Spectrum, phi: Diffeo, dphi: GridFunction, r: int) -> GridFunction:
-    """R2 alone: `taylor_remainder` with a zero base field."""
-    return taylor_remainder(Spectrum(du.spec, np.zeros_like(du.coeffs)), phi, du, dphi, r)
+    """R2 alone: the one-pair `taylor_remainder` with a zero base field."""
+    return taylor_remainder(Spectrum(du.spec, np.zeros_like(du.coeffs)), phi, dphi, [(r, du)])[0]
 
 
-def taylor_defect(
-    u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction, orders
-) -> list[float]:
+def taylor_defect(u: Spectrum, phi: Diffeo, du: Spectrum, dphi: GridFunction,
+                  orders) -> list[float]:
     """Max grid defect of the order-r expansion with both remainders, for
-    each r in `orders`; the path maps and each eta_k are built once."""
+    each r in `orders`; the path maps, each eta_k and the remainders' jet
+    pullback are built once."""
     spec = phi.spec
     *path, perturbed = path_diffeo(phi, dphi, [*_gauss_legendre_01(GL_NODES)[0], 1.0])
-    total = Spectrum(spec, u.coeffs + du.coeffs)
-    lhs = compose_function(total, perturbed).values
+    lhs = compose_function(Spectrum(spec, u.coeffs + du.coeffs), perturbed).values
     base = compose_function(u, phi).values  # k = 0 term
     terms = [eta_k(u, phi, du, dphi, k).values / math.factorial(k)
              for k in range(1, max(orders) + 1)]
     defects = []
-    for r in orders:
+    for r, rem in zip(orders, taylor_remainder(u, phi, dphi, [(r, du) for r in orders], path)):
         rhs = base.copy()
         for term in terms[:r]:
             rhs += term
-        rhs += taylor_remainder(u, phi, du, dphi, r, path).values
+        rhs += rem.values
         defects.append(float(np.max(np.abs(lhs - rhs))))
     return defects
 
@@ -190,7 +188,8 @@ def remainder_order_probe(
     scales: tuple[float, ...] = DEFAULT_SCALES,
 ) -> list[dict]:
     """Fit the decay order of ||R1 + R2||_s along a geometric scale ladder
-    for each (r, du_dir) in `orders`, on one certified path per scale.
+    for each (r, du_dir) in `orders`, from one `taylor_remainder` call (one
+    certified path, one jet pullback) per scale.
 
     For directions scaled by eps the combined remainder should vanish like
     eps^{r+1}; the probe reports the fitted log-log slope.  Identically
@@ -199,10 +198,9 @@ def remainder_order_probe(
     """
     norms = [[] for _ in orders]
     for eps in scales:
-        dphi = GridFunction(phi.spec, eps * dphi_dir.values)
-        path = path_diffeo(phi, dphi, _gauss_legendre_01(GL_NODES)[0])
-        for (r, du_dir), out in zip(orders, norms):
-            rem = taylor_remainder(u, phi, Spectrum(phi.spec, eps * du_dir.coeffs), dphi, r, path)
+        pairs = [(r, Spectrum(phi.spec, eps * du_dir.coeffs)) for r, du_dir in orders]
+        rems = taylor_remainder(u, phi, GridFunction(phi.spec, eps * dphi_dir.values), pairs)
+        for rem, out in zip(rems, norms):
             out.append(hs_norm(forward_transform(rem), s))
     records = []
     for (r, _), norm in zip(orders, norms):

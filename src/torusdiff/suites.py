@@ -54,18 +54,25 @@ SuiteResult = tuple[dict, list, dict, list]
 
 
 _PAIRS = ("eps", "ratio_band", "d0_band", "rk4_band")  # exactly two numbers
+# integer keys and their least values; an _INTEGER_LISTS key holds a list of them
+_INTEGERS = {"trials": 1, "pairs": 1, "seed": 0, "octaves": 2}
+_INTEGER_LISTS = {"seeds": 0, "r_values": 1}
 
 
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _integer(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
 def _apply_params(p: dict, params: dict, *tolerances: str, **least: int):
     """Override a suite's defaults `p` in place; a key it lacks raises, and so do an
-    empty list, a `trials`, `pairs` or `least` key that is no integer >= 1 (>= its
-    `least` value), a non-null `k_max` or `tolerances` entry that is no real number
-    (or is not positive), a _PAIRS entry that is no two real numbers and a band
-    (a _PAIRS key but eps) high to low."""
+    empty list, an _INTEGERS or `least` key that is no integer >= its least value,
+    an _INTEGER_LISTS entry that is no such integer, a non-null `k_max` or
+    `tolerances` entry that is no real number (or is not positive), a _PAIRS entry
+    that is no two real numbers and a band (a _PAIRS key but eps) high to low."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
@@ -74,10 +81,15 @@ def _apply_params(p: dict, params: dict, *tolerances: str, **least: int):
     empty = [key for key, value in p.items() if isinstance(value, (list, tuple)) and not value]
     if empty:
         raise ValueError(f"parameter {empty[0]!r} must not be an empty list")
-    for key, low in {"trials": 1, "pairs": 1, **least}.items():
-        value = p.get(key, low)  # a suite without `trials` or `pairs` passes
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+    for key, low in {**_INTEGERS, **least}.items():
+        value = p.get(key, low)  # a suite without the key passes
+        if not _integer(value, low):
             raise ValueError(f"parameter {key!r} must be an integer >= {low}, got {value!r}")
+    for key, low in _INTEGER_LISTS.items():
+        values = p.get(key, [])
+        if not isinstance(values, (list, tuple)) or not all(_integer(v, low) for v in values):
+            raise ValueError(
+                f"parameter {key!r} must be a list of integers >= {low}, got {values!r}")
     if p.get("k_max") is not None and not _real(p["k_max"]):
         raise ValueError(f"parameter 'k_max' must be a real number or null, got {p['k_max']!r}")
     _require_positive(p, tolerances)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from torusdiff import calculus
+from torusdiff import calculus, diffeo
 from torusdiff.algebra import multiply
 from torusdiff.diffeo import compose_function, make_diffeo
 from torusdiff.grid import (
@@ -20,7 +20,7 @@ from torusdiff.grid import (
     random_field,
 )
 from torusdiff.norms import hs_norm
-from torusdiff.suites import random_certified_displacement
+from torusdiff.suites import random_certified_displacement, run_suite
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,6 +68,74 @@ def test_eta1_is_the_directional_derivative(bundle):
             assert err < prev * 0.2  # linear shrinkage
         prev = err
     assert prev < 1e-6
+
+
+def _eta_per_multi_index(u, phi, du, dphi, k):
+    """eta_k term by term: one pullback per multi-index and field, and
+    (a != 0) one dealiased product by dphi^a each (the oracle for the
+    stacked jet pullback)."""
+    spec = phi.spec
+    acc = np.zeros((u.num_components,) + spec.shape)
+    for F, order in ((u, k), (du, k - 1)):
+        for alpha in calculus._exact_indices(spec.dim, order):
+            coeff = math.factorial(k) / math.prod(math.factorial(a) for a in alpha)
+            comp = compose_function(differentiate_multi(F, alpha), phi)
+            if order == 0:
+                acc += coeff * comp.values
+            else:
+                acc += coeff * multiply(comp, calculus._monomial(dphi, alpha)).values
+    return acc
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_eta_matches_the_per_multi_index_sum(bundle, k):
+    """Precision contract of the stacked jet pullback: eta_k stays within
+    1e-13 (relative, max-norm) of the term-by-term sum, in 1D and on T^2
+    at N = 16 and 32."""
+    spec, u, phi, du, dphi = bundle
+    cases = [(u, phi, du, dphi)]
+    for size in (16, 32):
+        spec2 = GridSpec(2, size)
+        u2 = fourier_truncate(random_field(spec2, 3.0, 5), 4)
+        phi2 = make_diffeo(random_certified_displacement(spec2, 6, 3, 0.3))
+        cases.append((u2, phi2) + _random_directions(spec2, 7, k, 0.1))
+    for u, phi, du, dphi in cases:
+        want = _eta_per_multi_index(u, phi, du, dphi, k)
+        got = calculus.eta_k(u, phi, du, dphi, k).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_one_jet_pullback_per_expansion(bundle, monkeypatch):
+    """eta_k, a taylor_remainder call over several (r, du) pairs and each
+    scale of remainder_order_probe make one compose_stack each, at phi (and
+    the path's nodes), in one evaluate."""
+    spec, u, phi, du, dphi = bundle
+    stacks, evals = [], []
+    comp, ev = calculus.compose_stack, diffeo.evaluate
+    monkeypatch.setattr(calculus, "compose_stack", lambda F, m: stacks.append(len(m)) or comp(F, m))
+    monkeypatch.setattr(diffeo, "evaluate", lambda F, pts: evals.append(len(pts)) or ev(F, pts))
+    for k in (1, 2, 3):
+        calculus.eta_k(u, phi, du, dphi, k)
+    calculus.taylor_remainder(u, phi, dphi, [(1, du), (2, du), (3, du)])
+    calculus.remainder_order_probe(u, phi, dphi, [(1, du), (2, du)], scales=(0.5, 0.25))
+    nodes = calculus.GL_NODES + 1
+    assert stacks == [1, 1, 1, nodes, nodes, nodes]
+    assert evals == [maps * spec.num_points for maps in stacks]
+
+
+def test_taylor_suites_pull_back_once_per_expansion(monkeypatch):
+    """The default taylor-identity suite evaluates at most 5 times (the
+    perturbed composite, u o phi, each eta_k, the remainders), and
+    taylor-order once per seed and scale, at phi and the 16 nodes."""
+    evals = []
+    ev = diffeo.evaluate
+    monkeypatch.setattr(diffeo, "evaluate", lambda F, pts: evals.append(len(pts)) or ev(F, pts))
+    assert run_suite("taylor-identity").passed and len(evals) <= 5
+    evals.clear()
+    report = run_suite("taylor-order")
+    points = (calculus.GL_NODES + 1) * report.params["size"]
+    assert report.passed
+    assert evals == [points] * len(report.params["seeds"]) * len(calculus.DEFAULT_SCALES)
 
 
 def test_taylor_identity_exact_orders(bundle):
@@ -179,7 +247,7 @@ def test_taylor_remainder_matches_per_node_sums(bundle, r):
         r1, r2, size = _per_node_remainders(u, phi, du, dphi, r)
         floor = size if cancels else 0.0
         for got, want in (
-            (calculus.taylor_remainder(u, phi, du, dphi, r), r1 + r2),
+            (calculus.taylor_remainder(u, phi, dphi, [(r, du)])[0], r1 + r2),
             (calculus.remainder_r1(u, phi, dphi, r), r1),
             (calculus.remainder_r2(du, phi, dphi, r), r2),
         ):
@@ -225,7 +293,7 @@ def test_remainder_probe_orders_match_single_order_probes(bundle):
         for eps, norm in zip(scales, rec["norms"]):
             dphi_eps = GridFunction(spec, eps * dphi.values)
             du_eps = Spectrum(spec, eps * du_dir.coeffs)
-            rem = calculus.taylor_remainder(u, phi, du_eps, dphi_eps, r)
+            [rem] = calculus.taylor_remainder(u, phi, dphi_eps, [(r, du_eps)])
             assert norm == hs_norm(forward_transform(rem), 2.0)
 
 

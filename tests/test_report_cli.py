@@ -557,6 +557,31 @@ def test_a_count_below_one_or_not_an_integer_fails_before_any_work(no_work, name
     assert entry["error"] == f"parameter {key!r} must be an integer >= 1, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "name, key, value, kind",
+    [("taylor-identity", "r_values", [1.5], "a list of integers >= 1"),
+     ("taylor-identity", "r_values", [0], "a list of integers >= 1"),
+     ("taylor-identity", "r_values", [True], "a list of integers >= 1"),
+     ("taylor-order", "r_values", 2, "a list of integers >= 1"),
+     ("taylor-order", "seeds", ["x"], "a list of integers >= 0"),
+     ("taylor-order", "seeds", [101, -1], "a list of integers >= 0"),
+     ("norm-equivalence", "seed", -1, "an integer >= 0"),
+     ("geodesic", "seed", True, "an integer >= 0"),
+     ("lipschitz", "seed", 31.0, "an integer >= 0"),
+     ("loss-of-derivative", "octaves", 2.5, "an integer >= 2"),
+     ("loss-of-derivative", "octaves", False, "an integer >= 2")],
+)
+def test_an_integer_key_of_the_wrong_type_or_range_fails_before_any_work(
+    no_work, name, key, value, kind
+):
+    """A fractional, negative or boolean seed, order or octave count used to
+    fail inside the suite without naming its key, or (an order `true`) to run."""
+    reports, summary = run_all({"suites": [{"suite": name, key: value}]})
+    [entry] = summary["suites"]
+    assert not reports and summary["pass"] is False
+    assert entry["error"] == f"parameter {key!r} must be {kind}, got {value!r}"
+
+
 def test_a_real_k_max_still_runs():
     report = run_suite("algebra", {"sizes": [32, 64], "trials": 10, "k_max": 1})
     assert report.passed and [c["name"] for c in report.checks] == ["relative_spread", "max_envelope"]

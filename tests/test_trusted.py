@@ -109,7 +109,7 @@ def test_taylor_remainder_stacks(dim_size, r, seed):
         mp.setattr(calculus, "differentiate_multi", lambda F, a: both.append(F) or diff(F, a))
         mp.setattr(calculus, "compose_stack", lambda F, ms: stacks.append((F, ms)) or comp(F, ms))
         mp.setattr(diffeo, "evaluate", lambda F, pts: evals.append((F, pts)) or ev(F, pts))
-        taylor_remainder(u, phi, du, dphi, r)
+        taylor_remainder(u, phi, dphi, [(r, du)])
     alphas = r + 1 if spec.dim == 2 else 1
     assert len(both) == alphas and all(F is both[0] for F in both)
     _assert_trusted(both[0], Spectrum, spec, 4)
