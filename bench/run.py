@@ -1,17 +1,18 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_8.json
+    python3 bench/run.py --out BENCH_10.json
 
 Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack`, RK4
-geodesic stepping, the dealiased `multiply` and the Taylor-expansion calls
-`taylor_defect` and `remainder_order_probe` on fixed seeded inputs (the
-rows below) and writes one JSON record: machine info, then per row the
-median and quartiles of the seconds per call over RUNS runs (each run
-times enough calls to last about 0.2 s); RK4 rows also give them per
-step.  BLAS and OpenMP are pinned to one thread before numpy is imported,
-so rows measure the code, not the thread pool.  It imports torusdiff from
-the `src/` next to this directory; to measure another checkout, copy this
-file into that checkout's `bench/` and run it there.
+geodesic stepping, the dealiased `multiply`, the Taylor-expansion calls
+`taylor_defect` and `remainder_order_probe`, `slobodeckij_seminorm` and the
+default `fractional` suite on fixed seeded inputs (the rows below) and
+writes one JSON record: machine info, then per row the median and quartiles
+of the seconds per call over RUNS runs (each run times enough calls to last
+about 0.2 s); RK4 rows also give them per step.  BLAS and OpenMP are pinned
+to one thread before numpy is imported, so rows measure the code, not the
+thread pool.  It imports torusdiff from the `src/` next to this directory;
+to measure another checkout, copy this file into that checkout's `bench/`
+and run it there.
 Not part of the test suite.
 """
 
@@ -24,7 +25,6 @@ import platform
 import statistics
 import sys
 import timeit
-import warnings
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -47,8 +47,12 @@ from torusdiff.grid import (  # noqa: E402
     random_field,
     refine,
 )
-from torusdiff.norms import hs_norm  # noqa: E402
-from torusdiff.suites import _bundled_calculus_data, random_certified_displacement  # noqa: E402
+from torusdiff.norms import hs_norm, slobodeckij_seminorm  # noqa: E402
+from torusdiff.suites import (  # noqa: E402
+    _bundled_calculus_data,
+    random_certified_displacement,
+    run_suite,
+)
 
 RUNS = 9  # timed runs per row
 
@@ -83,12 +87,19 @@ RK4_ROWS = [
 ]
 
 # 1D rows at N = 256: `multiply` of two random H^2 fields; the taylor-identity
-# suite's expansion (orders 1 and 2) on its bundled data; one scale (0.5) of
-# the taylor-order suite's probe on that suite's seed-101 directions
+# suite's expansion (orders 1 and 2) on its bundled data; two scales (0.5 and
+# 0.25) of the taylor-order suite's probe on that suite's seed-101 directions
 CALCULUS_ROWS = [
     "multiply/1d-N256",
     "taylor_defect/1d-N256-r12",
-    "remainder_order_probe/1d-N256-r12-one-scale",
+    "remainder_order_probe/1d-N256-r12-two-scales",
+]
+
+# (row name, grid size N): `slobodeckij_seminorm` at lam = 0.5 of sin(2 pi x),
+# the fractional suite's field and oracle sizes; then that suite at defaults
+SEMINORM_ROWS = [
+    ("slobodeckij_seminorm/1d-N256", 256),
+    ("slobodeckij_seminorm/1d-N2048", 2048),
 ]
 
 
@@ -203,9 +214,7 @@ def calculus_call(name: str):
         du_dir = fourier_truncate(random_field(spec, 2.0 + r, 101), 8)
         orders.append((r, Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, 2.0 + r))))
     dphi_dir = inverse_transform(random_certified_displacement(spec, 108, 8, 0.5))
-    # one scale leaves the slope's line fit underdetermined: silence its warning
-    warnings.filterwarnings("ignore", "Polyfit may be poorly conditioned")
-    return lambda: remainder_order_probe(u, phi, dphi_dir, orders, s=2.0, scales=(0.5,))
+    return lambda: remainder_order_probe(u, phi, dphi_dir, orders, s=2.0, scales=(0.5, 0.25))
 
 
 def calculus_rows(runs: int = RUNS) -> dict:
@@ -218,12 +227,26 @@ def calculus_rows(runs: int = RUNS) -> dict:
     return out
 
 
+def seminorm_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, size in SEMINORM_ROWS:
+        spec = GridSpec(1, size)
+        f = GridFunction(spec, np.sin(2.0 * np.pi * spec.axis_coordinates())[None])
+        row = time_row(lambda: slobodeckij_seminorm(f, 0.5), runs)
+        row.update(dim=1, size=size, lam=0.5)
+        out[name] = row
+        print_ms(name, row)
+    out["suite/fractional"] = time_row(lambda: run_suite("fractional"), runs)
+    print_ms("suite/fractional", out["suite/fractional"])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON record path")
     args = parser.parse_args(argv)
     rows = {**evaluate_rows(), **refine_rows(), **map_rows(), **rk4_rows(),
-            **calculus_rows()}
+            **calculus_rows(), **seminorm_rows()}
     record = {"machine": machine(), "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

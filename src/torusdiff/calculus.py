@@ -196,6 +196,8 @@ def remainder_order_probe(
     zero directions yield a degenerate (vacuously passing) probe.  Returns
     a record per order: order, scales, norms, slope, monotone, degenerate.
     """
+    if len(set(scales)) < 2:
+        raise ValueError(f"'scales' needs two distinct values to fit a slope, got {scales}")
     norms = [[] for _ in orders]
     for eps in scales:
         pairs = [(r, Spectrum(phi.spec, eps * du_dir.coeffs)) for r, du_dir in orders]

@@ -273,6 +273,20 @@ def test_remainder_probe_degenerate_direction(bundle):
     assert probe["degenerate"]
 
 
+@pytest.mark.parametrize("scales", [(0.5,), (0.5, 0.5), ()])
+def test_remainder_probe_needs_two_distinct_scales(bundle, monkeypatch, scales):
+    """One distinct scale leaves the log-log slope a fit through one point:
+    the probe refuses it, naming `scales`, before any pullback."""
+    spec, u, phi, du, dphi = bundle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("taylor_remainder ran before the scales check")
+
+    monkeypatch.setattr(calculus, "taylor_remainder", no_work)
+    with pytest.raises(ValueError, match="'scales'"):
+        calculus.remainder_order_probe(u, phi, dphi, [(1, du)], s=2.0, scales=scales)
+
+
 def test_remainder_probe_orders_match_single_order_probes(bundle):
     """Both orders on one certified path per scale give each single-order
     probe's record, and each norm that of `taylor_remainder` certifying its

@@ -18,7 +18,7 @@ from torusdiff.grid import (
     inverse_transform,
     random_field,
 )
-from torusdiff.norms import cr_norm, hs_norm, hs_norm_derivative
+from torusdiff.norms import cr_norm, hs_norm, hs_norm_derivative, slobodeckij_seminorm
 from torusdiff.report import (
     SuiteReport,
     diffeo_from_dict,
@@ -832,6 +832,15 @@ def test_cli_norm_integral_order_output(tmp_path, capsys, kind, key, norm):
     method = "derivative" if kind == "derivative" else "grid-sup"
     value = norm(inverse_transform(F), 2)
     want = dump_json({"norm_value": value, "method": method, "params": {key: 2}})
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_cli_slobodeckij_norm_on_t2(tmp_path, capsys):
+    F = random_field(GridSpec(2, 16), 2.5, seed=5, components=2)
+    field = write_json(tmp_path / "f.json", spectrum_to_dict(F))
+    assert main(["norm", field, "--s", "0.5", "--kind", "slobodeckij"]) == 0
+    value = slobodeckij_seminorm(inverse_transform(F), 0.5)
+    want = dump_json({"norm_value": value, "method": "double-sum", "params": {"lam": 0.5}})
     assert capsys.readouterr().out == want + "\n"
 
 
