@@ -1,11 +1,12 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_10.json
+    python3 bench/run.py --out BENCH_12.json
 
 Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack`, RK4
 geodesic stepping, the dealiased `multiply`, the Taylor-expansion calls
-`taylor_defect` and `remainder_order_probe`, `slobodeckij_seminorm` and the
-default `fractional` suite on fixed seeded inputs (the rows below) and
+`taylor_defect` and `remainder_order_probe`, `slobodeckij_seminorm`, a
+one-seed `random_field` and five suites at their defaults on fixed seeded
+inputs (the rows below) and
 writes one JSON record: machine info, then per row the median and quartiles
 of the seconds per call over RUNS runs (each run times enough calls to last
 about 0.2 s); RK4 rows also give them per step.  BLAS and OpenMP are pinned
@@ -96,11 +97,19 @@ CALCULUS_ROWS = [
 ]
 
 # (row name, grid size N): `slobodeckij_seminorm` at lam = 0.5 of sin(2 pi x),
-# the fractional suite's field and oracle sizes; then that suite at defaults
+# the fractional suite's field and oracle sizes
 SEMINORM_ROWS = [
     ("slobodeckij_seminorm/1d-N256", 256),
     ("slobodeckij_seminorm/1d-N2048", 2048),
 ]
+
+# (row name, dim, grid size N): `random_field` at s = 2 with one seed
+FIELD_ROWS = [
+    ("random_field/1d-N256", 1, 256),
+]
+
+# suites timed through `run_suite` at their defaults, as rows "suite/<name>"
+SUITE_ROWS = ["algebra", "norm-equivalence", "embedding", "lipschitz", "fractional"]
 
 
 def machine() -> dict:
@@ -236,8 +245,26 @@ def seminorm_rows(runs: int = RUNS) -> dict:
         row.update(dim=1, size=size, lam=0.5)
         out[name] = row
         print_ms(name, row)
-    out["suite/fractional"] = time_row(lambda: run_suite("fractional"), runs)
-    print_ms("suite/fractional", out["suite/fractional"])
+    return out
+
+
+def field_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, dim, size in FIELD_ROWS:
+        spec = GridSpec(dim, size)
+        row = time_row(lambda: random_field(spec, 2.0, 1), runs)
+        row.update(dim=dim, size=size, s=2.0, seeds=1)
+        out[name] = row
+        print_ms(name, row)
+    return out
+
+
+def suite_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for suite in SUITE_ROWS:
+        name = f"suite/{suite}"
+        out[name] = time_row(lambda: run_suite(suite), runs)
+        print_ms(name, out[name])
     return out
 
 
@@ -246,7 +273,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="JSON record path")
     args = parser.parse_args(argv)
     rows = {**evaluate_rows(), **refine_rows(), **map_rows(), **rk4_rows(),
-            **calculus_rows(), **seminorm_rows()}
+            **calculus_rows(), **seminorm_rows(), **field_rows(), **suite_rows()}
     record = {"machine": machine(), "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -250,9 +250,10 @@ def right_translation_quotients(
     one list per radius, the same `trials` random directions for every radius."""
     spec, maps = phi0.spec, len(radii) * trials
     fnorm = hs_norm(f, s + 1.0)
-    ws = [random_field(spec, s, seed + 1000 * i, components=spec.dim) for i in range(trials)]
-    norms = [hs_norm(w, s) for w in ws]
-    steps = np.concatenate([(radius / n) * w.coeffs for radius in radii for w, n in zip(ws, norms)])
+    W = random_field(spec, s, [seed + 1000 * i for i in range(trials)], components=spec.dim)
+    norms = hs_norm_rows(W, s, trials).reshape((-1,) + (1,) * (spec.dim + 1))  # per trial
+    w = W.coeffs.reshape((trials, spec.dim) + spec.shape)
+    steps = np.concatenate([(radius / norms) * w for radius in radii]).reshape(-1, *spec.shape)
     step = inverse_transform(_trusted(Spectrum, spec, steps))
     base, *pulled = compose_stack(f, [phi0, *path_diffeo(phi0, step, [1.0])])
     stacked = (np.array(pulled) - base).reshape((-1,) + spec.shape)  # rows (radius, trial, c)

@@ -16,6 +16,7 @@ unambiguous trigonometric interpolant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -346,7 +347,6 @@ def fourier_truncate(F: Spectrum, cutoff: float) -> Spectrum:
     return _trusted(Spectrum, F.spec, F.coeffs * mask[None])
 
 
-@lru_cache(maxsize=32)
 def _half_modes(dim: int, size: int) -> np.ndarray:
     """One representative per conjugate mode pair, Nyquist excluded.
 
@@ -363,7 +363,36 @@ def _half_modes(dim: int, size: int) -> np.ndarray:
     return modes
 
 
-def random_field(spec: GridSpec, s: float, seed: int, components: int = 1) -> Spectrum:
+@lru_cache(maxsize=32)
+def _mode_slots(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|k|^2 and the flat slots of k and of -k on the (size,)*dim grid, for each
+    mode k of _half_modes(dim, size): three read-only arrays."""
+    pos = _half_modes(dim, size)
+    ksq = np.sum(pos * pos, axis=1, dtype=np.float64)
+    slots = [np.ravel_multi_index(tuple(sign * pos.T), (size,) * dim, mode="wrap")
+             for sign in (1, -1)]
+    for arr in (ksq, *slots):
+        arr.flags.writeable = False
+    return ksq, *slots
+
+
+def _is_seed(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def _seed_list(seed) -> list:
+    """`seed` (an integer, or a non-empty sequence of them), each >= 0, as a list."""
+    try:
+        seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
+    except TypeError:
+        seeds = []
+    if not seeds or not all(map(_is_seed, seeds)):
+        raise ValueError(
+            f"seed must be an integer >= 0 or a non-empty sequence of them, got {seed!r}")
+    return seeds
+
+
+def random_field(spec: GridSpec, s: float, seed, components: int = 1) -> Spectrum:
     """Seeded random field with coefficient decay (1+|k|^2)^{-(s+decay)/2},
     decay = 0.6 on T^1 and 1.1 on T^2 (above dim/2, so the field lies in H^s).
 
@@ -371,19 +400,27 @@ def random_field(spec: GridSpec, s: float, seed: int, components: int = 1) -> Sp
     Gaussian, so E|fhat_k|^2 = (1+|k|^2)^{-(s+decay)}.  Modes are drawn in a
     resolution-stable order (see _half_modes), the Nyquist slots stay zero,
     and the same seed always reproduces the same field bit for bit.
+
+    `seed` is an integer >= 0 or a non-empty sequence of them.  A sequence
+    gives one block of `components` rows per seed, in (seed, component)
+    order, and block b equals random_field(spec, s, seed[b], components) bit
+    for bit: each seed keeps its own generator.
     """
+    seeds = _seed_list(seed)
     decay = 0.6 if spec.dim == 1 else 1.1
-    rng = np.random.default_rng(seed)
-    pos = _half_modes(spec.dim, spec.size)  # (M, dim)
-    ksq = np.sum(pos * pos, axis=1, dtype=np.float64)
+    ksq, pos, neg = _mode_slots(spec.dim, spec.size)
     sigma = (1.0 + ksq) ** (-(s + decay) / 2.0)
-    coeffs = np.zeros((components,) + spec.shape, dtype=np.complex128)
-    for comp in range(components):
-        coeffs[(comp,) + (0,) * spec.dim] = rng.standard_normal()
-        draws = rng.standard_normal(2 * len(pos))
-        vals = sigma * ((draws[0::2] + 1j * draws[1::2]) / np.sqrt(2.0))
-        coeffs[(comp, *pos.T)] = vals
-        coeffs[(comp, *(-pos).T)] = np.conj(vals)
+    # per row, the mean's draw and then the real and imaginary parts of the modes
+    draws = np.empty((len(seeds), components, 1 + 2 * len(ksq)))
+    for block, one in zip(draws, seeds):
+        np.random.default_rng(one).standard_normal(out=block)
+    draws = draws.reshape(-1, draws.shape[-1])
+    coeffs = np.zeros((len(draws),) + spec.shape, dtype=np.complex128)
+    flat = coeffs.reshape(len(draws), -1)  # a view: k = 0 is slot 0
+    flat[:, 0] = draws[:, 0]
+    vals = sigma * (draws[:, 1:].view(np.complex128) / np.sqrt(2.0))
+    flat[:, pos] = vals
+    flat[:, neg] = np.conj(vals)
     return _trusted(Spectrum, spec, coeffs)
 
 

@@ -62,15 +62,19 @@ def hs_norm_derivative(f: GridFunction, s: int) -> float:
     so hs_norm / hs_norm_derivative always lies in [1, C_s] for fields
     without Nyquist content.  Derivatives are spectral.
     """
+    return float(hs_norm_derivative_rows(f, s, 1)[0])
+
+
+def hs_norm_derivative_rows(f: GridFunction, s: int, rows: int) -> np.ndarray:
+    """hs_norm_derivative of `rows` fields stacked in order on f's component axis."""
     if s != int(s) or s < 0:
         raise ValueError(f"derivative-form norm needs integer s >= 0, got {s}")
-    s = int(s)
     F = forward_transform(f)
-    total = 0.0
-    for alpha in multi_indices(f.spec.dim, s):
+    total = np.zeros(rows)
+    for alpha in multi_indices(f.spec.dim, int(s)):
         dF = differentiate_multi(F, alpha)
-        total += np.sum(np.abs(dF.coeffs) ** 2)
-    return float(np.sqrt(total))
+        total += np.sum((np.abs(dF.coeffs) ** 2).reshape(rows, -1), axis=-1)
+    return np.sqrt(total)
 
 
 def _multinomial(s: int, alpha: tuple[int, ...]) -> float:
@@ -89,13 +93,18 @@ def norm_equivalence_constant(s: int, dim: int) -> float:
 
 def cr_norm(f: GridFunction, r: int) -> float:
     """C^r norm: max over |alpha| <= r of the grid sup of |d^alpha f|."""
+    return float(cr_norm_rows(f, r, 1)[0])
+
+
+def cr_norm_rows(f: GridFunction, r: int, rows: int) -> np.ndarray:
+    """cr_norm of `rows` fields stacked in order on f's component axis."""
     if r < 0 or r != int(r):
         raise ValueError(f"r must be a nonnegative integer, got {r}")
     F = forward_transform(f)
-    best = 0.0
+    best = np.zeros(rows)
     for alpha in multi_indices(f.spec.dim, int(r)):
         vals = inverse_transform(differentiate_multi(F, alpha)).values
-        best = max(best, float(np.max(np.abs(vals))))
+        best = np.maximum(best, np.max(np.abs(vals).reshape(rows, -1), axis=-1))
     return best
 
 

@@ -4,7 +4,8 @@ Each suite exercises one certified statement of the torus calculus at desk
 scale and returns its named checks (`report.check`); `run_suite` names, times
 and reports it, passing it when every check holds.  Suites draw every random
 object from seeds recorded in their parameters, so reports are reproducible
-bit for bit.  Trials run one after another in each suite's own loop.
+bit for bit.  The norm and algebra suites draw their trials as the rows of one
+field and take one norm per size; the others run trials one after another.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .grid import (
     refine,
 )
 from .norms import (
-    cr_norm,
+    cr_norm_rows,
     embedding_constant,
     hs_norm,
-    hs_norm_derivative,
+    hs_norm_derivative_rows,
+    hs_norm_rows,
     norm_equivalence_constant,
     slobodeckij_seminorm,
 )
@@ -156,15 +158,14 @@ def run_norm_equivalence(params: dict) -> SuiteResult:
     }
     _apply_params(p, params, "tol_identity", "tol_bracket")
     spec = GridSpec(p["dim"], p["size"])
+    seeds = [p["seed"] + i for i in range(p["trials"])]
     trials, aggregate, checks = [], {}, []
     for s in p["s_values"]:
         bound = norm_equivalence_constant(s, spec.dim)
-        records = []
-        for i in range(p["trials"]):
-            F = random_field(spec, float(s), p["seed"] + i)
-            ratio = hs_norm(F, float(s)) / hs_norm_derivative(inverse_transform(F), s)
-            records.append({"s": s, "seed": p["seed"] + i, "ratio": ratio})
-        ratios = np.array([rec["ratio"] for rec in records])
+        F = random_field(spec, float(s), seeds)  # one row per trial
+        ratios = (hs_norm_rows(F, float(s), len(seeds))
+                  / hs_norm_derivative_rows(inverse_transform(F), s, len(seeds)))
+        records = [{"s": s, "seed": seed, "ratio": float(r)} for seed, r in zip(seeds, ratios)]
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         if s <= 1:
             ours = [check(f"s={s} identity", float(np.max(np.abs(ratios - 1.0))),
@@ -191,12 +192,11 @@ def run_embedding(params: dict) -> SuiteResult:
     _apply_params(p, params)
     spec = GridSpec(p["dim"], p["size"])
     bound = embedding_constant(spec, p["s"])
-    records = []
-    for i in range(p["trials"]):
-        F = random_field(spec, p["s"] + p["r"], p["seed"] + i)
-        ratio = cr_norm(inverse_transform(F), p["r"]) / hs_norm(F, p["s"] + p["r"])
-        records.append({"seed": p["seed"] + i, "ratio": ratio})
-    ratios = [rec["ratio"] for rec in records]
+    seeds = [p["seed"] + i for i in range(p["trials"])]
+    F = random_field(spec, p["s"] + p["r"], seeds)  # one row per trial
+    ratios = [float(r) for r in cr_norm_rows(inverse_transform(F), p["r"], len(seeds))
+              / hs_norm_rows(F, p["s"] + p["r"], len(seeds))]
+    records = [{"seed": seed, "ratio": ratio} for seed, ratio in zip(seeds, ratios)]
     aggregate = {
         "max_ratio": max(ratios),
         "min_ratio": min(ratios),
@@ -222,18 +222,15 @@ def run_algebra(params: dict) -> SuiteResult:
         raise ValueError(f"parameter 'sizes' needs two distinct sizes, got {p['sizes']}")
     envelopes = {}
     trials = []
+    n, seeds = p["trials"], [p["seed"] + i for i in range(2 * p["trials"])]
     for size in p["sizes"]:
         spec = GridSpec(p["dim"], size)
-        ratios = []
-        for i in range(p["trials"]):
-            f = random_field(spec, p["s"], p["seed"] + 2 * i)
-            g = random_field(spec, p["s_prime"], p["seed"] + 2 * i + 1)
-            fg = multiply(inverse_transform(f), inverse_transform(g))
-            ratios.append(
-                hs_norm(forward_transform(fg), p["s_prime"])
-                / (hs_norm(f, p["s"]) * hs_norm(g, p["s_prime"]))
-            )
-        envelopes[size] = max(ratios)
+        f = random_field(spec, p["s"], seeds[0::2])  # trial i: rows i of f and g
+        g = random_field(spec, p["s_prime"], seeds[1::2])
+        fg = multiply(inverse_transform(f), inverse_transform(g))
+        ratios = (hs_norm_rows(forward_transform(fg), p["s_prime"], n)
+                  / (hs_norm_rows(f, p["s"], n) * hs_norm_rows(g, p["s_prime"], n)))
+        envelopes[size] = float(np.max(ratios))
         trials.append({"size": size, "envelope": envelopes[size]})
     values = np.array(list(envelopes.values()))
     mean = float(np.mean(values))

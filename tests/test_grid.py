@@ -604,6 +604,34 @@ def test_random_field_matches_mode_loop(dim, size, components):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dim,size", [(1, 64), (1, 256), (2, 16), (2, 64)])
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("seeds", [[0], [7, 3, 7], [123, 2**40, 1, 100009]])
+def test_random_field_seed_sequence_stacks_single_seed_calls(dim, size, components, seeds):
+    """A seed sequence gives one block of rows per seed, in (seed, component)
+    order, each bit for bit the single-seed field and the mode-loop oracle."""
+    spec = GridSpec(dim, size)
+    got = random_field(spec, 1.5, seeds, components=components).coeffs
+    assert got.shape == (len(seeds) * components,) + spec.shape
+    for b, seed in enumerate(seeds):
+        block = got[b * components : (b + 1) * components]
+        assert block.tobytes() == random_field(spec, 1.5, seed, components).coeffs.tobytes()
+        assert np.array_equal(block, random_field_by_mode_loop(spec, 1.5, seed, components))
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, [], [3, -2]])
+def test_random_field_rejects_a_bad_seed_before_any_draw(monkeypatch, seed):
+    """A bool, a negative or non-integer seed and an empty sequence fail
+    loudly, naming `seed`, where numpy would run, reseed or fail unnamed."""
+
+    def drawn(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    with pytest.raises(ValueError, match="^seed must be"):
+        random_field(GridSpec(1, 16), 1.0, seed)
+
+
 def test_random_field_components():
     spec = GridSpec(2, 16)
     F = random_field(spec, 2.0, 1, components=2)

@@ -9,15 +9,18 @@ from torusdiff.grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    differentiate_multi,
     forward_transform,
     inverse_transform,
     random_field,
 )
 from torusdiff.norms import (
     cr_norm,
+    cr_norm_rows,
     embedding_constant,
     hs_norm,
     hs_norm_derivative,
+    hs_norm_derivative_rows,
     multi_indices,
     norm_equivalence_constant,
     slobodeckij_seminorm,
@@ -146,6 +149,42 @@ def test_inductive_norm_decomposition(dim, s):
             total += hs_norm(differentiate(F, axis), float(s - 1))
         ratio = total / hs_norm(F, float(s))
         assert 1.0 - 1e-9 <= ratio <= hi + 1e-9
+
+
+def derivative_norm_by_sum(f, s):
+    """The per-field sum hs_norm_derivative was before its row form."""
+    F = forward_transform(f)
+    total = 0.0
+    for alpha in multi_indices(f.spec.dim, s):
+        total += np.sum(np.abs(differentiate_multi(F, alpha).coeffs) ** 2)
+    return float(np.sqrt(total))
+
+
+def cr_norm_by_max(f, r):
+    """The per-field maximum cr_norm was before its row form."""
+    F = forward_transform(f)
+    best = 0.0
+    for alpha in multi_indices(f.spec.dim, r):
+        vals = inverse_transform(differentiate_multi(F, alpha)).values
+        best = max(best, float(np.max(np.abs(vals))))
+    return best
+
+
+@pytest.mark.parametrize("dim,size", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("components", [1, 2])
+def test_norm_rows_equal_per_row_calls(dim, size, order, components):
+    """Row forms equal the scalar norm of each row block and the per-field
+    loops they replaced, bit for bit."""
+    spec = GridSpec(dim, size)
+    seeds = [4, 11, 2, 30]
+    F = random_field(spec, 2.5, seeds, components)
+    f = inverse_transform(F)
+    rows = (hs_norm_derivative_rows(f, order, len(seeds)), cr_norm_rows(f, order, len(seeds)))
+    for b in range(len(seeds)):
+        block = GridFunction(spec, f.values[b * components : (b + 1) * components])
+        assert rows[0][b] == hs_norm_derivative(block, order) == derivative_norm_by_sum(block, order)
+        assert rows[1][b] == cr_norm(block, order) == cr_norm_by_max(block, order)
 
 
 # ---------------------------------------------------------------------------
