@@ -1,15 +1,14 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_12.json
+    python3 bench/run.py --out BENCH_14.json
 
 Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack`, RK4
 geodesic stepping, the dealiased `multiply`, the Taylor-expansion calls
 `taylor_defect` and `remainder_order_probe`, `slobodeckij_seminorm`, a
-one-seed `random_field` and five suites at their defaults on fixed seeded
-inputs (the rows below) and
-writes one JSON record: machine info, then per row the median and quartiles
-of the seconds per call over RUNS runs (each run times enough calls to last
-about 0.2 s); RK4 rows also give them per step.  BLAS and OpenMP are pinned
+one-seed `random_field` and eight suite runs on fixed seeded inputs (the
+rows below) and writes one JSON record: machine info, then per row the
+median and quartiles of the seconds per call over RUNS runs (each run
+times enough calls to last about 0.2 s); RK4 rows also give them per step.  BLAS and OpenMP are pinned
 to one thread before numpy is imported, so rows measure the code, not the
 thread pool.  It imports torusdiff from the `src/` next to this directory;
 to measure another checkout, copy this file into that checkout's `bench/`
@@ -108,8 +107,18 @@ FIELD_ROWS = [
     ("random_field/1d-N256", 1, 256),
 ]
 
-# suites timed through `run_suite` at their defaults, as rows "suite/<name>"
-SUITE_ROWS = ["algebra", "norm-equivalence", "embedding", "lipschitz", "fractional"]
+# (row name, suite, params): suites timed through `run_suite`, at their
+# defaults but for `group-t2`, perfbench's group-t2 workload entry
+SUITE_ROWS = [
+    ("suite/algebra", "algebra", {}),
+    ("suite/norm-equivalence", "norm-equivalence", {}),
+    ("suite/embedding", "embedding", {}),
+    ("suite/lipschitz", "lipschitz", {}),
+    ("suite/fractional", "fractional", {}),
+    ("suite/taylor-order", "taylor-order", {}),
+    ("suite/group", "group", {}),
+    ("suite/group-t2", "group", {"dim": 2, "size": 64, "trials": 8}),
+]
 
 
 def machine() -> dict:
@@ -261,9 +270,8 @@ def field_rows(runs: int = RUNS) -> dict:
 
 def suite_rows(runs: int = RUNS) -> dict:
     out = {}
-    for suite in SUITE_ROWS:
-        name = f"suite/{suite}"
-        out[name] = time_row(lambda: run_suite(suite), runs)
+    for name, suite, params in SUITE_ROWS:
+        out[name] = time_row(lambda: run_suite(suite, params), runs)
         print_ms(name, out[name])
     return out
 

@@ -7,12 +7,11 @@ builds the config with perfbench's `seeded_config` (seed n shifts every
 suite seed by n * SEED_STRIDE, as the benchmark does) and runs each of its
 suites with `run_suite`.  Prints, per workload, suite and check, the
 tightest margin over the seeds and the seed where it occurred, then one
-line per failure.  A check is named as at seed 0: a name that holds a
-suite seed s means s + n * SEED_STRIDE at benchmark seed n.  Exits 1 if
-any suite raised or any check failed at any seed.  BLAS and OpenMP are
-pinned to one thread.  It imports torusdiff from the `src/` next to this
-directory and reads perfbench's files without changing them.  Not part of
-the test suite.
+line per failure; check names hold no seed, so a check keeps its name
+across seeds.  Exits 1 if any suite raised or any check failed at any
+seed.  BLAS and OpenMP are pinned to one thread.  It imports torusdiff
+from the `src/` next to this directory and reads perfbench's files
+without changing them.  Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ SEEDS = range(41)  # benchmark seeds 0..40
 
 
 def sweep(workload: str) -> tuple[dict, list[str]]:
-    """(tightest {(suite, check index): (seed-0 name, margin, seed)}, failure
-    lines) over SEEDS."""
+    """(tightest {(suite, check name): (margin, seed)}, failure lines) over SEEDS."""
     config = json.loads(perfbench.WORKLOADS[workload].read_text())
     tightest, failures = {}, []
     for seed in SEEDS:
@@ -52,10 +50,10 @@ def sweep(workload: str) -> tuple[dict, list[str]]:
             except Exception as exc:  # noqa: BLE001 - any raise is a failure to report
                 failures.append(f"{workload} seed {seed} {suite}: raised {exc!r}")
                 continue
-            for i, rec in enumerate(report.checks):
-                best = tightest.setdefault((suite, i), (rec["name"], rec["margin"], seed))
-                if rec["margin"] < best[1]:
-                    tightest[suite, i] = (best[0], rec["margin"], seed)
+            for rec in report.checks:
+                key = (suite, rec["name"])
+                if key not in tightest or rec["margin"] < tightest[key][0]:
+                    tightest[key] = (rec["margin"], seed)
                 if not rec["pass"]:
                     failures.append(f"{workload} seed {seed} {suite}: {rec['name']} "
                                     f"{rec['value']!r} {rec['sense']} {rec['bound']!r} fails")
@@ -69,7 +67,7 @@ def main(argv=None) -> int:
     for workload in perfbench.WORKLOADS:
         began = time.perf_counter()
         tightest, failed = sweep(workload)
-        for (suite, _), (name, margin, seed) in tightest.items():
+        for (suite, name), (margin, seed) in tightest.items():
             print(f"{workload:16s} {suite:22s} {name:34s} {margin:16.6g}  {seed}")
         print(f"{workload}: {len(SEEDS)} seeds in {time.perf_counter() - began:.1f} s, "
               f"{len(failed)} failures")

@@ -16,7 +16,7 @@ translation.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,14 +51,13 @@ def _exact_indices(dim: int, order: int) -> list[tuple[int, ...]]:
 
 
 def _monomial(dphi: GridFunction, alpha: tuple[int, ...]) -> GridFunction:
-    """dphi^alpha = prod_i dphi_i^{alpha_i} with dealiased products."""
+    """dphi^alpha = prod_i dphi_i^{alpha_i} with dealiased products: the first
+    factor as is, then one product per further factor (|alpha| - 1 in all).
+    The all-zero alpha gives the field 1."""
     spec = dphi.spec
-    out = GridFunction(spec, np.ones((1,) + spec.shape))
-    for i, power in enumerate(alpha):
-        comp = GridFunction(spec, dphi.values[i : i + 1])
-        for _ in range(power):
-            out = multiply(out, comp)
-    return out
+    factors = [GridFunction(spec, dphi.values[i : i + 1])
+               for i, power in enumerate(alpha) for _ in range(power)]
+    return reduce(multiply, factors) if factors else GridFunction(spec, np.ones((1,) + spec.shape))
 
 
 def _jet_pullback(jets: list[tuple[Spectrum, tuple]], maps: list[Diffeo]) -> np.ndarray:

@@ -4,7 +4,9 @@
 JSON report; `verify-all` runs a whole config.  The `norm`, `compose`, and
 `invert` subcommands operate on serialized fields and diffeomorphisms so
 results can be scripted without touching Python.  Exit status is 0 exactly
-when every requested check passed.
+when every requested check passed.  `compare OLD NEW` diffs two
+`verify-all --out-dir` directories and fails only on a verdict change or a
+suite missing from one side.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ def cmd_verify_all(args) -> int:
     return 0 if summary["pass"] else 1
 
 
+def cmd_compare(args) -> int:
+    from .compare import compare_reports, load_report_dir  # only this command needs it
+
+    lines, broken = compare_reports(load_report_dir(args.old), load_report_dir(args.new))
+    print("\n".join(lines))
+    return 1 if broken else 0
+
+
 def cmd_norm(args) -> int:
     F = load_field(args.infile)
     s = args.s
@@ -162,6 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--config", default=None, help="JSON config path")
     p_all.add_argument("--out-dir", default=None, help="directory for reports")
     p_all.set_defaults(func=cmd_verify_all)
+
+    p_cmp = sub.add_parser("compare", help="diff two verify-all --out-dir directories")
+    p_cmp.add_argument("old", help="directory of the old reports")
+    p_cmp.add_argument("new", help="directory of the new reports")
+    p_cmp.set_defaults(func=cmd_compare)
 
     p_norm = sub.add_parser("norm", help="norm of a serialized field")
     p_norm.add_argument("infile", help="field JSON path")

@@ -284,11 +284,14 @@ def chain_rule_residual(f: Spectrum, phi: Diffeo) -> float:
 
     The left side differentiates the sampled composite spectrally; the
     right side pairs exact derivative evaluations with the stored Jacobian
-    pointwise, so the defect measures pure aliasing.
+    pointwise, so the defect measures pure aliasing.  f and df meet phi in
+    one compose_stack of the stacked spectrum [f; df].
     """
-    comp = forward_transform(compose_function(f, phi))
-    df = compose_stack(_displacement_gradient(f), [phi])  # rows (c, j)
-    df_at_phi = df.reshape((f.num_components, phi.dim) + phi.spec.shape)
+    d = f.num_components
+    stacked = np.concatenate([f.coeffs, _displacement_gradient(f).coeffs])  # rows c, then (c, j)
+    pulled = compose_stack(_trusted(Spectrum, f.spec, stacked), [phi])[0]
+    comp = forward_transform(GridFunction(phi.spec, pulled[:d]))
+    df_at_phi = pulled[d:].reshape((d, phi.dim) + phi.spec.shape)
     worst = 0.0
     for axis in range(phi.dim):
         lhs = inverse_transform(differentiate(comp, axis)).values

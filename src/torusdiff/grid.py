@@ -220,19 +220,23 @@ def _factor_sizes(size: int) -> tuple[int, int]:
 
 
 def _powers(w: np.ndarray, n: int) -> np.ndarray:
-    """w**j for j = 0..n-1 as running products, shape (len(w), n)."""
+    """w**j for j = 0..n-1 as running products, shape (len(w), n): power j
+    is power j-1 times w, one in-place multiply per power."""
     table = np.empty((n, len(w)), dtype=np.complex128)
     table[0] = 1.0
-    table[1:] = w
-    return np.cumprod(table, axis=0).T
+    for j in range(1, n):
+        np.multiply(table[j - 1], w, out=table[j])
+    return table.T
 
 
 def _phases(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Factor tables of exp(2 pi i x k) for k = a*b + c (see _factor_sizes).
 
     Returns coarse (P, A) holding exp(2 pi i x a b) and fine (P, b) holding
-    exp(2 pi i x c).  Each is the running product of one exponential of x
-    reduced mod 1 to [-1/2, 1/2]: two exponentials per point.
+    exp(2 pi i x c).  Each is the running product (_powers) of one
+    exponential of x reduced mod 1 to [-1/2, 1/2]: two exponentials per
+    point, then one complex multiply per table entry.  The factors have
+    unit modulus, so the j-th power carries j roundings of ~1e-16 each.
     """
     A, b = _factor_sizes(size)
     x = x - np.round(x)

@@ -387,10 +387,10 @@ def run_taylor_order(params: dict) -> SuiteResult:
             orders.append((r, Spectrum(spec, du_dir.coeffs / hs_norm(du_dir, p["s"] + r))))
         dphi_dir = inverse_transform(random_certified_displacement(spec, seed + 7, 8, 0.5))
         by_seed.append(calculus.remainder_order_probe(u, phi, dphi_dir, orders, s=p["s"]))
-    records = [{"r": rec["order"], "seed": seed, **rec}  # in (r, seed) order
-               for per_r in zip(*by_seed) for seed, rec in zip(p["seeds"], per_r)]
-    aggregate = {
-        "slopes": {f"r={rec['r']},seed={rec['seed']}": rec["slope"] for rec in records}
+    records = [{"r": rec["order"], "direction": i, "seed": seed, **rec}  # in (r, seed) order
+               for per_r in zip(*by_seed) for i, (seed, rec) in enumerate(zip(p["seeds"], per_r))]
+    aggregate = {  # named by direction, not seed, so a check keeps its name at every seed
+        "slopes": {f"r={rec['r']},direction={rec['direction']}": rec["slope"] for rec in records}
     }
     checks = []
     for name, rec in zip(aggregate["slopes"], records):

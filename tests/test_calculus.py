@@ -138,6 +138,35 @@ def test_taylor_suites_pull_back_once_per_expansion(monkeypatch):
     assert evals == [points] * len(report.params["seeds"]) * len(calculus.DEFAULT_SCALES)
 
 
+def test_monomial_starts_from_its_first_factor(bundle):
+    """dphi^alpha takes its first factor as is and pays one dealiased product
+    per further factor: (1,) is dphi's values unchanged, (2,) is one
+    multiply(dphi, dphi), the all-zero alpha is the field 1; on T^2,
+    (1, 1) is one multiply of the two components."""
+    spec, _, _, _, dphi = bundle
+    assert np.array_equal(calculus._monomial(dphi, (1,)).values, dphi.values)
+    assert np.array_equal(calculus._monomial(dphi, (0,)).values, np.ones((1,) + spec.shape))
+    assert np.array_equal(calculus._monomial(dphi, (2,)).values, multiply(dphi, dphi).values)
+    spec2 = GridSpec(2, 16)
+    dphi2 = inverse_transform(random_certified_displacement(spec2, 5, 4, 0.3))
+    first, second = (GridFunction(spec2, dphi2.values[i : i + 1]) for i in (0, 1))
+    assert np.array_equal(calculus._monomial(dphi2, (1, 1)).values, multiply(first, second).values)
+    assert np.array_equal(calculus._monomial(dphi2, (0, 1)).values, second.values)
+    assert np.array_equal(calculus._monomial(dphi2, (0, 0)).values, np.ones((1,) + spec2.shape))
+
+
+def test_default_taylor_order_makes_72_products(monkeypatch):
+    """dphi^alpha of order r costs r - 1 products and its contraction one: the
+    default taylor-order suite (3 seeds x 8 scales, orders 1 and 2 in 1D)
+    makes 24 remainder calls of 1 + 2 products each, 72 in all (120 when
+    every monomial started from the field 1)."""
+    calls = []
+    mul = calculus.multiply
+    monkeypatch.setattr(calculus, "multiply", lambda f, g: calls.append(1) or mul(f, g))
+    assert run_suite("taylor-order").passed
+    assert len(calls) == 3 * len(calculus.DEFAULT_SCALES) * (1 + 2) == 72
+
+
 def test_taylor_identity_exact_orders(bundle):
     """u o phi + sum eta_k / k! + R1 + R2 rebuilds the perturbed composite
     to machine precision for analytic band-limited data."""

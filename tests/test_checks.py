@@ -78,7 +78,7 @@ FLIPS = {
     "quotient-rule": ({"size": 64}, "tol_closure", "closure residual"),
     "group": ({"size": 64, "trials": 2}, "tol_identity", "max_identity_defect"),
     "taylor-identity": ({"size": 64}, "tol_scale", "r=1 defect"),
-    "taylor-order": ({"seeds": [101]}, "slope_margin", "r=2,seed=101 slope"),
+    "taylor-order": ({"seeds": [101]}, "slope_margin", "r=2,direction=0 slope"),
     "inverse-differential": ({"size": 64}, "ratio_band", "richardson_ratio"),
     "lipschitz": ({"trials": 5}, "stability", "relative_change"),
     "loss-of-derivative": ({"octaves": 3}, "growth_min", "min_growth_factor"),

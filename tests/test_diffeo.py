@@ -565,6 +565,40 @@ def test_chain_rule_random_field():
     assert chain_rule_residual(f, phi) < 1e-6 * hs_norm(f, 2.0)
 
 
+def two_call_chain_rule_residual(f, phi):
+    """The chain-rule defect from two pullbacks at phi, f and then df: the
+    reference for chain_rule_residual's one stacked pullback."""
+    comp = forward_transform(compose_function(f, phi))
+    df = compose_stack(_displacement_gradient(f), [phi])
+    df_at_phi = df.reshape((f.num_components, phi.dim) + phi.spec.shape)
+    worst = 0.0
+    for axis in range(phi.dim):
+        lhs = inverse_transform(grid_module.differentiate(comp, axis)).values
+        rhs = np.einsum("cj...,j...->c...", df_at_phi, phi.jacobian[:, axis])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "dim, size, band, components",
+    [(1, 128, 32, 1), (1, 256, 8, 1), (1, 64, 16, 2), (2, 32, 8, 1), (2, 64, 8, 2)],
+)
+def test_chain_rule_residual_matches_two_pullbacks(dim, size, band, components, monkeypatch):
+    """One compose_stack of [f; df] gives the two-call defect to roundoff: the
+    defect differentiates sampled values, so a rounding of ~1e-16 sum|f_k| in
+    them may grow by the top wavenumber, and the bound is 1e-14 N sum|f_k|."""
+    spec = GridSpec(dim, size)
+    phi = make_diffeo(random_certified_displacement(spec, 13, max(2, size // 16), 0.2))
+    f = fourier_truncate(random_field(spec, 3.0, 17, components), band)
+    want = two_call_chain_rule_residual(f, phi)
+    stacks = []
+    stack = diffeo_module.compose_stack
+    monkeypatch.setattr(diffeo_module, "compose_stack", lambda F, m: stacks.append(F) or stack(F, m))
+    got = chain_rule_residual(f, phi)
+    assert abs(got - want) <= 1e-14 * size * np.abs(f.coeffs).sum()
+    assert [F.num_components for F in stacks] == [components * (1 + dim)]
+
+
 def test_inverse_derivative_identity_and_shift():
     spec = GridSpec(1, 64)
     ident = identity_diffeo(spec)

@@ -13,6 +13,7 @@ from torusdiff.grid import (
     _extend_axis,
     _half_modes,
     _mirror_modes,
+    _powers,
     _restrict_axis,
     band_project,
     differentiate,
@@ -198,6 +199,25 @@ def test_nyquist_mode_killed_by_derivative():
 
 # ---------------------------------------------------------------------------
 # evaluation and refinement
+
+
+def test_powers_match_the_exponentials_they_stand_for():
+    """_powers(exp(2 pi i x), n)[:, j] is exp(2 pi i j x) to within 5e-16 * j
+    for every j < 64 and x in [-1/2, 1/2], the reduced range _phases feeds it.
+    The j-th power inherits j times the rounding of exp(2 pi i x) itself (up to
+    ~3.5e-16 from rounding 2 pi x) plus one rounding per running multiply, so
+    the error grows linearly in j: 1e-14 holds up to j = 20.  The points are
+    dyadic, so that j x and its reduction mod 1 are exact in the reference."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.arange(-2**11, 2**11 + 1) / 2**12,
+                        rng.integers(-2**39, 2**39, 4096) / 2**40])
+    j = np.arange(64)
+    jx = j[None, :] * x[:, None]
+    want = np.exp(TWO_PI * 1j * (jx - np.round(jx)))
+    got = _powers(np.exp(TWO_PI * 1j * x), 64)
+    assert got.shape == (len(x), 64)
+    assert np.all(np.abs(got - want) <= 5e-16 * j)
+    assert np.max(np.abs(got - want)[:, :21]) <= 1e-14
 
 
 def test_evaluate_reproduces_grid_values():

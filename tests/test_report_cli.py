@@ -21,6 +21,7 @@ from torusdiff.grid import (
 from torusdiff.norms import cr_norm, hs_norm, hs_norm_derivative, slobodeckij_seminorm
 from torusdiff.report import (
     SuiteReport,
+    check,
     diffeo_from_dict,
     diffeo_to_dict,
     dump_json,
@@ -941,3 +942,92 @@ def test_cli_invert_flags_uncertified_inverse(tmp_path):
     # and the written inverse is itself loadable
     psi = load_diffeo(out)
     assert psi.max_grad > 1.0
+
+
+# ---------------------------------------------------------------------------
+# compare
+
+
+def demo_report(suite="demo", value=0.5, name="max"):
+    c = check(name, value, 1.0, "<")
+    return SuiteReport(suite, {"size": 8}, trials=[{"x": value}, {"x": 2.0}],
+                       aggregate={"max": value, "sizes": [8, 16]}, checks=[c], passed=c["pass"])
+
+
+def write_reports(path, *reports):
+    path.mkdir()
+    for rep in reports:
+        rep.to_json(path / f"{rep.suite}.json")
+    dump_json({"pass": True}, path / "summary.json")  # verify-all's summary is skipped
+    return str(path)
+
+
+def test_compare_a_directory_with_itself_prints_no_change(tmp_path, capsys):
+    d = write_reports(tmp_path / "a", demo_report("one"), demo_report("two"))
+    assert main(["compare", d, d]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["one: equal comparison_bytes", "two: equal comparison_bytes",
+                   "2 suites: 2 equal, 0 differ, 0 missing, 0 verdict changes"]
+
+
+def test_compare_ignores_wall_time(tmp_path, capsys):
+    a, b = demo_report(), demo_report()
+    b.wall_time_s = 3.0
+    assert main(["compare", write_reports(tmp_path / "a", a), write_reports(tmp_path / "b", b)]) == 0
+    assert "demo: equal comparison_bytes" in capsys.readouterr().out
+
+
+def test_compare_prints_roundoff_in_ulps_and_exits_0(tmp_path, capsys):
+    """A value two ulps up moves the check's value and margin, the aggregate
+    and one trial value; the verdict holds, so the exit status is 0."""
+    bumped = np.nextafter(np.nextafter(0.5, 1.0), 1.0)
+    old = write_reports(tmp_path / "a", demo_report())
+    new = write_reports(tmp_path / "b", demo_report(value=float(bumped)))
+    assert main(["compare", old, new]) == 0
+    out = capsys.readouterr().out
+    assert "demo: comparison_bytes differ" in out
+    assert f"  check max: value 0.5 -> {float(bumped)!r} (+2 ulp), margin 0.5 -> " in out
+    assert f"  aggregate max: 0.5 -> {float(bumped)!r} (+2 ulp)" in out
+    assert "  trials: 1 of 2 values differ" in out
+    assert "sizes" not in out and "param" not in out
+
+
+def test_compare_gives_a_far_change_relative_and_names_a_renamed_check(tmp_path, capsys):
+    old = write_reports(tmp_path / "a", demo_report())
+    new = write_reports(tmp_path / "b", demo_report(value=0.6, name="top"))
+    assert main(["compare", old, new]) == 0
+    out = capsys.readouterr().out
+    assert "  check max -> top: value 0.5 -> 0.6 (+1.67e-01 rel)" in out
+
+
+def test_compare_fails_on_a_verdict_change(tmp_path, capsys):
+    old = write_reports(tmp_path / "a", demo_report())
+    new = write_reports(tmp_path / "b", demo_report(value=2.0))
+    assert main(["compare", old, new]) == 1
+    out = capsys.readouterr().out
+    assert "  VERDICT PASS -> FAIL" in out
+    assert "  check max: VERDICT PASS -> FAIL, value 0.5 -> 2.0" in out
+    assert out.splitlines()[-1] == "1 suites: 0 equal, 1 differ, 0 missing, 2 verdict changes"
+
+
+@pytest.mark.parametrize("side", ["old", "new"])
+def test_compare_fails_on_a_missing_suite(tmp_path, capsys, side):
+    both = write_reports(tmp_path / "both", demo_report("one"), demo_report("two"))
+    one = write_reports(tmp_path / "one", demo_report("one"))
+    args = [one, both] if side == "old" else [both, one]
+    assert main(["compare", *args]) == 1
+    assert f"two: missing from {side.upper()}" in capsys.readouterr().out
+
+
+def test_compare_reads_reports_strictly(tmp_path, capsys):
+    """A directory with no report, or a report with an unknown key, fails with
+    error: and exit status 1, like every other malformed input."""
+    good = write_reports(tmp_path / "a", demo_report())
+    (tmp_path / "empty").mkdir()
+    assert main(["compare", good, str(tmp_path / "empty")]) == 1
+    assert "error: no suite reports" in capsys.readouterr().err
+    bad = write_reports(tmp_path / "b", demo_report())
+    payload = json.loads((tmp_path / "b" / "demo.json").read_text())
+    write_json(tmp_path / "b" / "demo.json", {**payload, "extra": 1})
+    assert main(["compare", good, bad]) == 1
+    assert "'extra'" in capsys.readouterr().err
