@@ -1,12 +1,13 @@
 """Micro-timings of torusdiff's primitives, one process, single-threaded.
 
-    python3 bench/run.py --out BENCH_14.json
+    python3 bench/run.py --out BENCH_16.json
+    python3 bench/run.py --only evaluate/2d-    # a subset of the rows, by name prefix
 
-Times `grid.evaluate`, `grid.refine`, Newton `invert`, `certify_stack`, RK4
-geodesic stepping, the dealiased `multiply`, the Taylor-expansion calls
-`taylor_defect` and `remainder_order_probe`, `slobodeckij_seminorm`, a
-one-seed `random_field` and eight suite runs on fixed seeded inputs (the
-rows below) and writes one JSON record: machine info, then per row the
+Times `grid.evaluate`, `grid.refine`, the forward and inverse transforms,
+Newton `invert`, `certify_stack`, RK4 geodesic stepping, the dealiased
+`multiply`, the Taylor-expansion calls `taylor_defect` and
+`remainder_order_probe`, `slobodeckij_seminorm`, a one-seed `random_field`
+and thirteen suite runs on fixed seeded inputs (the rows below) and writes one JSON record: machine info, then per row the
 median and quartiles of the seconds per call over RUNS runs (each run
 times enough calls to last about 0.2 s); RK4 rows also give them per step.  BLAS and OpenMP are pinned
 to one thread before numpy is imported, so rows measure the code, not the
@@ -42,6 +43,7 @@ from torusdiff.grid import (  # noqa: E402
     GridSpec,
     Spectrum,
     evaluate,
+    forward_transform,
     fourier_truncate,
     inverse_transform,
     random_field,
@@ -56,18 +58,31 @@ from torusdiff.suites import (  # noqa: E402
 
 RUNS = 9  # timed runs per row
 
-# (row name, dim, grid size N, number of points, band cutoff or None for full band)
+# (row name, dim, grid size N, number of points, band cutoff or None for full
+# band, components): d = 4 is the four Jacobian entries that
+# inverse_derivative_residual pulls back
 EVALUATE_ROWS = [
-    ("evaluate/1d-N256-P256", 1, 256, 256, None),
-    ("evaluate/2d-N64-P4096", 2, 64, 4096, None),
-    ("evaluate/2d-N64-P4096-band4", 2, 64, 4096, 4),
-    ("evaluate/2d-N128-P16384", 2, 128, 16384, None),
+    ("evaluate/1d-N256-P256", 1, 256, 256, None, 1),
+    ("evaluate/2d-N64-P4096", 2, 64, 4096, None, 2),
+    ("evaluate/2d-N64-P4096-d4", 2, 64, 4096, None, 4),
+    ("evaluate/2d-N64-P4096-band4", 2, 64, 4096, 4, 2),
+    ("evaluate/2d-N128-P16384", 2, 128, 16384, None, 2),
 ]
 
 # (row name, dim, grid size N, refinement factor, components): `refine` of a
 # full-band field, as the certificate refines a map's gradient
 REFINE_ROWS = [
+    ("refine/1d-N256-x4", 1, 256, 4, 1),
     ("refine/2d-N64-x4-d4", 2, 64, 4, 4),
+]
+
+# (row name, dim, grid size N): `forward_transform` of, or `inverse_transform`
+# back to, a two-component field
+TRANSFORM_ROWS = [
+    ("forward_transform/1d-N256", 1, 256),
+    ("forward_transform/2d-N64", 2, 64),
+    ("inverse_transform/1d-N256", 1, 256),
+    ("inverse_transform/2d-N64", 2, 64),
 ]
 
 # (row name, dim, grid size N): Newton `invert` of, or `certify_stack` on, the
@@ -77,6 +92,14 @@ MAP_ROWS = [
     ("invert/2d-N64", 2, 64),
     ("invert/2d-N128", 2, 128),
     ("certify_stack/2d-N64", 2, 64),
+]
+
+# (row name, dim, grid size N, maps): `certify_stack` on the group suite's
+# maps at seeds 13, 14, ... stacked: 8 is the group-t2 trial count, 17 the
+# Taylor path's (16 Gauss-Legendre nodes and t = 1)
+STACK_ROWS = [
+    ("certify_stack/2d-N64x8", 2, 64, 8),
+    ("certify_stack/1d-N256x17", 1, 256, 17),
 ]
 
 # (row name, points, steps): RK4 on conformal_metric_2d, one geodesic through
@@ -116,6 +139,11 @@ SUITE_ROWS = [
     ("suite/lipschitz", "lipschitz", {}),
     ("suite/fractional", "fractional", {}),
     ("suite/taylor-order", "taylor-order", {}),
+    ("suite/taylor-identity", "taylor-identity", {}),
+    ("suite/inverse-differential", "inverse-differential", {}),
+    ("suite/loss-of-derivative", "loss-of-derivative", {}),
+    ("suite/quotient-rule", "quotient-rule", {}),
+    ("suite/geodesic", "geodesic", {}),
     ("suite/group", "group", {}),
     ("suite/group-t2", "group", {"dim": 2, "size": 64, "trials": 8}),
 ]
@@ -154,14 +182,14 @@ def print_ms(name: str, row: dict):
 
 def evaluate_rows(runs: int = RUNS) -> dict:
     out = {}
-    for name, dim, size, num_points, band in EVALUATE_ROWS:
+    for name, dim, size, num_points, band, components in EVALUATE_ROWS:
         spec = GridSpec(dim, size)
-        F = random_field(spec, 2.0, 1, components=dim)
+        F = random_field(spec, 2.0, 1, components=components)
         if band is not None:
             F = fourier_truncate(F, band)
         pts = np.random.default_rng(1).uniform(0.0, 1.0, (num_points, dim))
         row = time_row(lambda: evaluate(F, pts), runs)
-        row.update(dim=dim, size=size, points=num_points, components=dim, band=band)
+        row.update(dim=dim, size=size, points=num_points, components=components, band=band)
         out[name] = row
         print_ms(name, row)
     return out
@@ -178,6 +206,21 @@ def refine_rows(runs: int = RUNS) -> dict:
     return out
 
 
+def transform_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, dim, size in TRANSFORM_ROWS:
+        F = random_field(GridSpec(dim, size), 2.0, 1, components=2)
+        if name.startswith("forward_transform/"):
+            f = inverse_transform(F)
+            row = time_row(lambda: forward_transform(f), runs)
+        else:
+            row = time_row(lambda: inverse_transform(F), runs)
+        row.update(dim=dim, size=size, components=2)
+        out[name] = row
+        print_ms(name, row)
+    return out
+
+
 def map_rows(runs: int = RUNS) -> dict:
     out = {}
     for name, dim, size in MAP_ROWS:
@@ -188,6 +231,19 @@ def map_rows(runs: int = RUNS) -> dict:
         else:
             row = time_row(lambda: certify_stack(u), runs)
         row.update(dim=dim, size=size, seed=13, modes=size // 16)
+        out[name] = row
+        print_ms(name, row)
+    return out
+
+
+def stack_rows(runs: int = RUNS) -> dict:
+    out = {}
+    for name, dim, size, count in STACK_ROWS:
+        spec = GridSpec(dim, size)
+        disps = [random_certified_displacement(spec, 13 + i, size // 16, 0.2) for i in range(count)]
+        u = Spectrum(spec, np.concatenate([d.coeffs for d in disps]))
+        row = time_row(lambda: certify_stack(u), runs)
+        row.update(dim=dim, size=size, maps=count, seeds=[13, 13 + count - 1], modes=size // 16)
         out[name] = row
         print_ms(name, row)
     return out
@@ -279,9 +335,14 @@ def suite_rows(runs: int = RUNS) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON record path")
+    parser.add_argument("--only", default="", help="time only the rows whose name starts with this")
     args = parser.parse_args(argv)
-    rows = {**evaluate_rows(), **refine_rows(), **map_rows(), **rk4_rows(),
-            **calculus_rows(), **seminorm_rows(), **field_rows(), **suite_rows()}
+    for table in (EVALUATE_ROWS, REFINE_ROWS, TRANSFORM_ROWS, MAP_ROWS, STACK_ROWS, RK4_ROWS,
+                  CALCULUS_ROWS, SEMINORM_ROWS, FIELD_ROWS, SUITE_ROWS):
+        table[:] = [row for row in table if (row if isinstance(row, str) else row[0]).startswith(args.only)]
+    rows = {**evaluate_rows(), **refine_rows(), **transform_rows(), **map_rows(),
+            **stack_rows(), **rk4_rows(), **calculus_rows(), **seminorm_rows(),
+            **field_rows(), **suite_rows()}
     record = {"machine": machine(), "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -18,6 +18,7 @@ inverses carry `contraction_certified = False` in their certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,24 +97,37 @@ def _displacement_gradient(u: Spectrum) -> Spectrum:
 
 
 def _det_and_opnorm(grad_vals: np.ndarray, dim: int):
-    """det(I + du) and |du|_op from stacked gradient values (n*n, ...)."""
+    """det(I + du) and a key that _opnorm maps monotonically to |du|_op, from
+    stacked gradient values (n*n, ...): |du| in 1D, 2 |du|_op^2 = frob2 + gap
+    in 2D (in-place ops on five buffers), so sup |du|_op is at its argmax."""
     if dim == 1:
         du = grad_vals[0]
         return 1.0 + du, np.abs(du)
     a, b, c, d = grad_vals  # du rows: (d1u1, d2u1, d1u2, d2u2)
-    det = (1.0 + a) * (1.0 + d) - b * c
-    frob2 = a * a + b * b + c * c + d * d
-    det_du = a * d - b * c
-    gap = np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det_du * det_du, 0.0))
-    opnorm = np.sqrt(np.maximum((frob2 + gap) / 2.0, 0.0))
-    return det, opnorm
+    det, tmp, bc = np.add(a, 1.0), np.add(d, 1.0), np.multiply(b, c)
+    det *= tmp
+    det -= bc  # (1 + a)(1 + d) - bc
+    key = np.multiply(a, a)
+    for e in (b, c, d):  # frob2 = ((a^2 + b^2) + c^2) + d^2
+        key += np.multiply(e, e, out=tmp)
+    np.subtract(np.multiply(a, d, out=tmp), bc, out=tmp)  # det du
+    tmp *= tmp
+    gap = np.multiply(key, key)
+    gap -= np.multiply(tmp, 4.0, out=tmp)  # 4 det_du^2: the factor is exact
+    key += np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
+    return det, key
+
+
+def _opnorm(key: float, dim: int) -> float:
+    """|du|_op from one _det_and_opnorm key."""
+    return float(key) if dim == 1 else math.sqrt(max(key / 2.0, 0.0))
 
 
 def gradient_sup(u: Spectrum) -> float:
     """sup over the CERT_REFINE-refined grid of the operator norm of du."""
     fine = refine(_displacement_gradient(u), CERT_REFINE)
-    _, opnorm = _det_and_opnorm(fine.values, u.spec.dim)
-    return float(np.max(opnorm))
+    _, key = _det_and_opnorm(fine.values, u.spec.dim)
+    return _opnorm(np.max(key), u.spec.dim)
 
 
 def solve_jacobian(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -129,15 +143,13 @@ def solve_jacobian(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.stack([(d * r[0] - b * r[1]) / det, (a * r[1] - c * r[0]) / det])
 
 
-def certify_stack(
-    displacement: Spectrum,
-    min_det_floor: float = DEFAULT_MIN_DET,
-    refine_factor: int = CERT_REFINE,
-    check_contraction: bool = True,
-) -> list[Diffeo]:
+def certify_stack(displacement: Spectrum, min_det_floor: float = DEFAULT_MIN_DET,
+                  refine_factor: int = CERT_REFINE, check_contraction: bool = True) -> list[Diffeo]:
     """Certify B maps id + u_b given as one (B*n)-component displacement and
     build their Diffeos in order, or raise the first failing map's DiffeoError.
-    Transforms run once for the whole stack, the checks map by map.
+    Transforms run once for the whole stack, the checks map by map: min_det
+    and max_grad come from one argmin of det and one argmax of the
+    _det_and_opnorm key per map, the square root only at that point.
 
     `check_contraction=False` (for invert, whose output is injective by
     construction) records sup|du|_op >= 1 and flags the certificate instead.
@@ -148,10 +160,10 @@ def certify_stack(
     grad = _displacement_gradient(displacement)
     fine = refine(grad, refine_factor)
     stack = (displacement.num_components // n, n)
-    det, opnorm = _det_and_opnorm(fine.values.reshape(stack[0], n * n, -1).swapaxes(0, 1), n)
-    certs = []  # (min_det, max_grad) per map; rows of det and opnorm are maps
-    for idx, gidx, det_b, opnorm_b in zip(np.argmin(det, 1), np.argmax(opnorm, 1), det, opnorm):
-        min_det, max_grad = float(det_b[idx]), float(opnorm_b[gidx])
+    det, key = _det_and_opnorm(fine.values.reshape(stack[0], n * n, -1).swapaxes(0, 1), n)
+    certs = []  # (min_det, max_grad) per map; rows of det and key are maps
+    for idx, gidx, det_b, key_b in zip(np.argmin(det, 1), np.argmax(key, 1), det, key):
+        min_det, max_grad = float(det_b[idx]), _opnorm(key_b[gidx], n)
         if min_det <= 0.0:
             raise DiffeoError("orientation", fine.spec.points()[idx], min_det)
         if check_contraction and max_grad >= 1.0:
@@ -170,12 +182,8 @@ def certify_stack(
     ]
 
 
-def make_diffeo(
-    displacement: Spectrum,
-    min_det_floor: float = DEFAULT_MIN_DET,
-    refine_factor: int = CERT_REFINE,
-    check_contraction: bool = True,
-) -> Diffeo:
+def make_diffeo(displacement: Spectrum, min_det_floor: float = DEFAULT_MIN_DET,
+                refine_factor: int = CERT_REFINE, check_contraction: bool = True) -> Diffeo:
     """Certify id + u (the one-map case of certify_stack) or raise DiffeoError."""
     spec, count = displacement.spec, displacement.num_components
     if count != spec.dim:
@@ -215,10 +223,8 @@ def compose_diffeo(outer: Diffeo, inner: Diffeo) -> Diffeo:
         raise ValueError("diffeomorphisms live on different grids")
     pulled = compose_function(outer.displacement, inner)
     w = pulled.values + inner.disp_values
-    return make_diffeo(
-        forward_transform(GridFunction(outer.spec, w)),
-        min_det_floor=min(outer.min_det_floor, inner.min_det_floor),
-    )
+    return make_diffeo(forward_transform(GridFunction(outer.spec, w)),
+                       min_det_floor=min(outer.min_det_floor, inner.min_det_floor))
 
 
 def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
@@ -249,20 +255,22 @@ def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
     jac = phi.jacobian.reshape(n * n, -1).copy()
     active = np.arange(y.shape[1])  # points whose last step was >= tol
     for _ in range(max_iter):
-        step = solve_jacobian(jac[:, active], r[:, active])
-        start, limit = x[:, active], np.maximum(rnorm[active], 10.0 * tol)
+        # a set that holds every point indexes as a slice, with no gather
+        act = slice(None) if len(active) == y.shape[1] else active
+        step = solve_jacobian(jac[:, act], r[:, act])
+        start, limit = x[:, act].copy(), np.maximum(rnorm[act], 10.0 * tol)
         todo = np.arange(len(active))  # steps whose residual may still grow
         for halving in range(NEWTON_HALVINGS + 1):
+            each, at = (slice(None), act) if len(todo) == len(active) else (todo, active[todo])
             if halving:
-                step[:, todo] /= 2.0
-            at = active[todo]
-            x[:, at] = start[:, todo] - step[:, todo]
+                step[:, each] /= 2.0
+            x[:, at] = start[:, each] - step[:, each]
             vals = evaluate(stacked, x[:, at].T)
             vals[n :: n + 1] += 1.0  # d phi = I + du
             r[:, at] = x[:, at] + vals[:n] - y[:, at]
             jac[:, at] = vals[n:]
             rnorm[at] = np.linalg.norm(r[:, at], axis=0)
-            todo = todo[rnorm[at] > limit[todo]]
+            todo = todo[rnorm[at] > limit[each]]
             if not len(todo):
                 break
         active = active[np.linalg.norm(step, axis=0) >= tol]
@@ -272,11 +280,8 @@ def invert(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
     if worst >= 10.0 * tol:
         raise InversionError(worst, tol)
     v = (x - y).reshape((n,) + spec.shape)
-    return make_diffeo(
-        forward_transform(GridFunction(spec, v)),
-        min_det_floor=phi.min_det_floor,
-        check_contraction=False,
-    )
+    return make_diffeo(forward_transform(GridFunction(spec, v)),
+                       min_det_floor=phi.min_det_floor, check_contraction=False)
 
 
 def chain_rule_residual(f: Spectrum, phi: Diffeo) -> float:

@@ -29,10 +29,11 @@ MIN_STEPS = 16
 
 
 def _chart(x, dim: int):
-    """Real points (..., d) as chart coordinates (...): the real coordinate
-    in 1D, y1 + i y2 in 2D (a view); one point gives a numpy scalar."""
+    """Real points (..., d) as chart coordinates (...): the real coordinate in
+    1D, y1 + i y2 in 2D (a view); one point gives a Python float or complex."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return (x if dim == 1 else x.view(np.complex128))[..., 0][()]
+    y = (x if dim == 1 else x.view(np.complex128))[..., 0]
+    return y.item() if y.ndim == 0 else y
 
 
 def _real(y) -> np.ndarray:
@@ -45,7 +46,7 @@ class Metric:
     """Chart metric: callables for g and its geodesic spray.
 
     metric(z): (..., d) -> (..., d, d);  spray(y, v): chart coordinates of
-    one shape (numpy scalars or (P,) arrays, which a spray may treat apart;
+    one shape (scalars or (P,) arrays, which a spray may treat apart;
     real in 1D, complex in 2D) -> the same shape, the spray -Gamma(y)(v, v).
     """
 
@@ -90,7 +91,7 @@ def conformal_metric_2d() -> Metric:
 
     def spray(y, v):
         w = turn * y
-        if isinstance(w, complex):  # one point (numpy scalars too): no array dispatch
+        if isinstance(w, complex):  # one point (a Python or numpy scalar): no array dispatch
             return -(scale * complex(math.cos(w.real), math.cos(w.imag)) * v) * v
         return -(scale * _chart(np.cos(_real(w)), 2) * v) * v
 
@@ -118,7 +119,7 @@ def christoffel(m: Metric, z: np.ndarray) -> np.ndarray:
 
 def _rk4(spray: Callable, y, v, h):
     """One classical RK4 step of ydot = v, vdot = spray(y, v) on chart
-    coordinates: numpy scalars for one geodesic, (P,) arrays for P (and h)."""
+    coordinates: Python scalars for one geodesic, (P,) arrays for P (and h)."""
     half, sixth = 0.5 * h, h / 6.0
     a1 = spray(y, v)
     v2 = v + half * a1
@@ -173,7 +174,7 @@ def geodesic_flow(
 
 def _trajectory(m: Metric, y, v, h, steps: int):
     """RK4 states (steps + 1, ...) from chart coordinates (y, v), step h."""
-    ys, vs = np.empty((2, steps + 1) + np.shape(y), y.dtype)
+    ys, vs = np.empty((2, steps + 1) + np.shape(y), np.result_type(y))
     ys[0], vs[0] = y, v
     with np.errstate(all="ignore"):  # non-finite states raise below instead
         for i in range(steps):

@@ -245,9 +245,10 @@ def _phases(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phase_table(x: np.ndarray, size: int) -> np.ndarray:
-    """exp(2 pi i x k) for k = 0..N/2, shape (P, N/2+1), from its factors."""
+    """exp(2 pi i x k) for k = 0..N/2, shape (P, N/2+1), from its factors;
+    rows are contiguous, so its float64 view interleaves (cos, sin)."""
     coarse, fine = _phases(x, size)
-    table = coarse[:, :, None] * fine[:, None, :]
+    table = np.multiply(coarse[:, :, None], fine[:, None, :], order="C")
     return table.reshape(len(x), -1)[:, : size // 2 + 1]
 
 
@@ -269,8 +270,9 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
     the cost scales with M, not N.  Two complex exponentials per point and
     axis (_phases).  1D builds no (P, M/2+1) phase table: the folded
     coefficients, laid out by k = a*b + c, meet the fine factor in one
-    GEMM, then the coarse factor.  2D runs one GEMM over the k_2 table,
-    then contracts k_1 point by point.
+    GEMM, then the coarse factor.  2D pairs k_2 with -k_2 into real cos and
+    sin rows for one real GEMM with the (P, M+2) axis-1 table (half the flops
+    of a complex one over k_2 = -M/2..M/2), then contracts k_1 point by point.
     """
     spec = F.spec
     pts = np.asarray(points, dtype=np.float64)
@@ -297,7 +299,13 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
         pad[:, : half + 1] = fold
         fold = pad.reshape(d, A, b).transpose(2, 0, 1).reshape(b, d * A)
     else:
-        fold = fold.transpose(2, 0, 1).reshape(size + 1, -1)  # (k_2, (d, k_1))
+        # sum_k2 c e(k_2 y) = sum_{k_2 >= 0} (c_+ + c_-) cos + i (c_+ - c_-) sin,
+        # k_2 = 0 once: complex rows (k_2, cos | sin), as reals (M+2, 2 d (M/2+1))
+        pos, neg = fold[..., half:], fold[..., half::-1]
+        fold = np.stack([pos + neg, 1j * (pos - neg)]).transpose(3, 0, 1, 2)
+        fold[0, 0] = pos[..., 0]
+        fold = fold.reshape(size + 2, -1).view(np.float64)
+        gemm = np.empty((min(_BLOCK_POINTS, len(pts)), fold.shape[1]))  # one for every block
     out = np.empty((d, pts.shape[0]))
     for start in range(0, pts.shape[0], _BLOCK_POINTS):
         block = pts[start : start + _BLOCK_POINTS]
@@ -306,10 +314,9 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
             inner = (fine @ fold).reshape(len(block), d, -1)  # (P, d, a)
             vals = inner @ coarse[:, :, None]
         else:
-            ph1 = _phase_table(block[:, 1], size)
-            # k_2 = -M/2..M/2
-            ph1 = np.concatenate([np.conj(ph1[:, :0:-1]), ph1], axis=1)
-            inner = (ph1 @ fold).reshape(len(block), d, half + 1)  # (P, d, k_1)
+            ph1 = _phase_table(block[:, 1], size).view(np.float64)  # (P, M+2)
+            inner = np.matmul(ph1, fold, out=gemm[: len(block)])
+            inner = inner.view(np.complex128).reshape(len(block), d, half + 1)
             vals = inner @ _phase_table(block[:, 0], size)[:, :, None]
         out[:, start : start + _BLOCK_POINTS] = vals[:, :, 0].real.T
     return out

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import torusdiff.diffeo as diffeo_module
 import torusdiff.grid as grid_module
 from torusdiff.diffeo import (
+    CERT_REFINE,
+    NEWTON_HALVINGS,
     DiffeoError,
     InversionError,
     _displacement_gradient,
@@ -16,6 +18,7 @@ from torusdiff.diffeo import (
     compose_diffeo,
     compose_function,
     compose_stack,
+    gradient_sup,
     identity_diffeo,
     inverse_derivative_residual,
     invert,
@@ -31,6 +34,7 @@ from torusdiff.grid import (
     fourier_truncate,
     inverse_transform,
     random_field,
+    refine,
 )
 from torusdiff.suites import random_certified_displacement, run_suite
 
@@ -193,6 +197,47 @@ def test_certify_stack_raises_the_failing_maps_error(spec, bad, reason):
             certify_stack(_stacked(good[:k] + [bad] + good[k:] + [later_failure]))
         assert (stacked.value.reason, stacked.value.value) == (reason, single.value.value)
         assert np.array_equal(stacked.value.witness, single.value.witness)
+
+
+def closed_form_det_and_opnorm(grad_vals, dim):
+    """det(I + du) and |du|_op at every point, as the certificate computed
+    them before it kept a key for the operator norm."""
+    if dim == 1:
+        du = grad_vals[0]
+        return 1.0 + du, np.abs(du)
+    a, b, c, d = grad_vals
+    det = (1.0 + a) * (1.0 + d) - b * c
+    frob2 = a * a + b * b + c * c + d * d
+    det_du = a * d - b * c
+    gap = np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det_du * det_du, 0.0))
+    return det, np.sqrt(np.maximum((frob2 + gap) / 2.0, 0.0))
+
+
+# (spec, [(seed, modes, amplitude)]) for random_certified_displacement: the
+# group suite's eight T^2 draws but with two steep maps, and three on T^1
+CERTIFIED_STACKS = [
+    (GridSpec(2, 64), [(13 + i, 4, 0.2) for i in range(6)] + [(5, 8, 0.9), (6, 4, 0.95)]),
+    (GridSpec(1, 256), [(3, 16, 0.9), (4, 16, 0.5), (5, 8, 0.2)]),
+]
+
+
+@pytest.mark.parametrize("spec, draws", CERTIFIED_STACKS)
+def test_certificate_extremes_equal_the_closed_form(spec, draws):
+    """Precision contract: min_det and max_grad of certify_stack, and
+    gradient_sup, equal the extremes of the closed-form det and |du|_op on
+    the refined grid bit for bit; max_grad is within 1e-14 (1 + max_grad) of
+    the spectral norm of du at the point where it is attained."""
+    disps = [random_certified_displacement(spec, *draw) for draw in draws]
+    maps = certify_stack(_stacked(disps))
+    assert len(maps) == len(draws)
+    for phi, u in zip(maps, disps):
+        grad = refine(_displacement_gradient(u), CERT_REFINE).values.reshape(spec.dim**2, -1)
+        det, opnorm = closed_form_det_and_opnorm(grad, spec.dim)
+        top = int(np.argmax(opnorm))
+        assert (phi.min_det, phi.max_grad) == (float(np.min(det)), float(opnorm[top]))
+        assert gradient_sup(u) == phi.max_grad
+        jac = grad[:, top].reshape(spec.dim, spec.dim)
+        assert abs(phi.max_grad - np.linalg.norm(jac, 2)) <= 1e-14 * (1.0 + phi.max_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +462,67 @@ def all_points_newton(phi, tol=1e-12, max_iter=50, max_halvings=5):
             break
     assert np.max(rnorm) < 10.0 * tol
     return (x - y).reshape((n,) + phi.spec.shape)
+
+
+def index_array_newton(phi, tol=1e-12, max_iter=50):
+    """invert's Newton loop with the active and todo sets always held as
+    index arrays.  Returns x - y, the number of halvings and the number of
+    sweeps after which the active set shrank but did not empty."""
+    spec, n = phi.spec, phi.dim
+    y = spec.points().T
+    grad = _displacement_gradient(phi.displacement).coeffs
+    stacked = Spectrum(spec, np.concatenate([phi.displacement.coeffs, grad]))
+    x = y.copy()
+    r = phi.disp_values.reshape(n, -1).copy()
+    rnorm = np.linalg.norm(r, axis=0)
+    jac = phi.jacobian.reshape(n * n, -1).copy()
+    active = np.arange(y.shape[1])
+    halvings = shrinks = 0
+    for _ in range(max_iter):
+        step = solve_jacobian(jac[:, active], r[:, active])
+        start, limit = x[:, active], np.maximum(rnorm[active], 10.0 * tol)
+        todo = np.arange(len(active))
+        for halving in range(NEWTON_HALVINGS + 1):
+            if halving:
+                step[:, todo] /= 2.0
+                halvings += 1
+            at = active[todo]
+            x[:, at] = start[:, todo] - step[:, todo]
+            vals = evaluate(stacked, x[:, at].T)
+            vals[n :: n + 1] += 1.0
+            r[:, at] = x[:, at] + vals[:n] - y[:, at]
+            jac[:, at] = vals[n:]
+            rnorm[at] = np.linalg.norm(r[:, at], axis=0)
+            todo = todo[rnorm[at] > limit[todo]]
+            if not len(todo):
+                break
+        kept = active[np.linalg.norm(step, axis=0) >= tol]
+        shrinks += 0 < len(kept) < len(active)
+        active = kept
+        if not len(active):
+            break
+    return (x - y).reshape((n,) + spec.shape), halvings, shrinks
+
+
+@pytest.mark.parametrize(
+    "spec, draws",
+    [
+        (GridSpec(1, 256), [(3, 16, 0.9), (4, 16, 0.5), (8, 4, 0.05)]),
+        (GridSpec(2, 64), [(13, 4, 0.2), (6, 4, 0.95), (7, 16, 0.9)]),
+    ],
+)
+def test_invert_equals_the_index_array_newton_bit_for_bit(spec, draws):
+    """Sliced sweeps (when a set covers every point) change no bit of the
+    result, including maps steep enough to halve steps and shrink the
+    active set."""
+    halvings = shrinks = 0
+    for draw in draws:
+        phi = make_diffeo(random_certified_displacement(spec, *draw))
+        v, halved, shrank = index_array_newton(phi)
+        halvings, shrinks = halvings + halved, shrinks + shrank
+        want = forward_transform(GridFunction(spec, v)).coeffs
+        assert invert(phi).displacement.coeffs.tobytes() == want.tobytes()
+    assert halvings and shrinks
 
 
 class EvaluateLog:

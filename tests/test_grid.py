@@ -277,6 +277,7 @@ CONTRACT_CASES = [
         (2, 64, 2, (0, 1, 513, 4097)),
         (1, 1024, 3, (1, 513, 4097)),  # the longest recurrences: b = A = 23
         (2, 128, 6, (1, 600, 4097)),  # a stacked displacement-plus-gradient width
+        (2, 64, 4, (4097,)),  # inverse_derivative_residual's four Jacobian entries
     ]
     for num_points in counts
 ]
