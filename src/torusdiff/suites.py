@@ -545,8 +545,9 @@ def run_geodesic(params: dict) -> SuiteResult:
     energy_drift = float(np.max(np.max(np.abs(e - e[0]), axis=0) / np.abs(e[0])))
     trials.append({"check": "energy", "max_relative_drift": energy_drift})
 
-    _, rk4_slope = geodesic.rk4_order_errors(conf, probe_points[1], probe_vels[1])
-    trials.append({"check": "rk4_order", "slope": rk4_slope})
+    fastest = int(np.argmax(np.linalg.norm(probe_vels, axis=1)))
+    _, rk4_slope = geodesic.rk4_order_errors(conf, probe_points[fastest], probe_vels[fastest])
+    trials.append({"check": "rk4_order", "probe": fastest, "slope": rk4_slope})
 
     checks = [
         check("flat_defect", flat_defect, p["tol_flat"], "<"),

@@ -411,6 +411,15 @@ def test_rk4_fourth_order():
     assert 3.7 <= slope <= 4.3
 
 
+def test_geodesic_suite_fits_the_rk4_order_on_its_fastest_probe():
+    # at this seed probe 1 moves at |v| = 0.039 and its slope reads 3.57,
+    # below the band; the fastest probe's slope lies inside it
+    rep = run_suite("geodesic", {"seed": 7800019})
+    trial = next(t for t in rep.trials if t["check"] == "rk4_order")
+    assert rep.passed and trial["probe"] == 5
+    assert 3.7 <= trial["slope"] <= 4.3
+
+
 # ---------------------------------------------------------------------------
 # pointwise exponential on fields
 
