@@ -21,7 +21,6 @@ from .diffeo import (
     InversionError,
     compose_diffeo,
     compose_function,
-    identity_diffeo,
     invert,
     make_diffeo,
 )
@@ -29,7 +28,6 @@ from .geodesic import (
     Metric,
     conformal_metric_2d,
     exp_field,
-    exp_metric_1d,
     flat_metric,
     geodesic_flow,
 )

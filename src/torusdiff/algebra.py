@@ -34,13 +34,6 @@ class UsetCertificate:
     member: bool
 
 
-def _component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast multiply (da, grid) x (db, grid) when da or db is 1."""
-    if a.shape[0] == b.shape[0] or a.shape[0] == 1 or b.shape[0] == 1:
-        return a * b
-    raise ValueError(f"component mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
 def _dealiased(f: GridFunction, g: GridFunction, op) -> GridFunction:
     """op(f, g) pointwise on the product grid, projected back onto the common band."""
     if f.spec != g.spec:
@@ -54,9 +47,9 @@ def multiply(f: GridFunction, g: GridFunction) -> GridFunction:
     """Dealiased pointwise product, returned on the common grid.
 
     Scalar fields broadcast against multi-component ones; otherwise the
-    component counts must match.
+    component counts must match (numpy raises ValueError).
     """
-    return _dealiased(f, g, _component_product)
+    return _dealiased(f, g, np.multiply)
 
 
 def uset_membership(g: GridFunction, epsilon: float) -> UsetCertificate:
@@ -85,12 +78,7 @@ def divide(f: GridFunction, g: GridFunction, epsilon: float) -> GridFunction:
     cert = uset_membership(g, epsilon)
     if not cert.member:
         raise StabilityError(cert)
-    return _dealiased(f, g, lambda a, b: _component_product(a, 1.0 / (1.0 + b)))
-
-
-def one_plus(g: GridFunction) -> GridFunction:
-    """Convenience: the field 1 + g."""
-    return GridFunction(g.spec, g.values + 1.0)
+    return _dealiased(f, g, lambda a, b: a * (1.0 / (1.0 + b)))
 
 
 def quotient_rule_residual(

@@ -192,11 +192,6 @@ def make_diffeo(displacement: Spectrum, min_det_floor: float = DEFAULT_MIN_DET,
     return phi
 
 
-def identity_diffeo(spec: GridSpec) -> Diffeo:
-    zero = Spectrum(spec, np.zeros((spec.dim,) + spec.shape, dtype=np.complex128))
-    return make_diffeo(zero)
-
-
 def compose_stack(f: Spectrum, maps) -> np.ndarray:
     """Pullbacks f o phi for every phi in `maps` (one grid), sampled on that
     grid from one evaluation at all the maps' point images, map by map:

@@ -68,17 +68,6 @@ def flat_metric(dim: int) -> Metric:
     return Metric(dim, g, lambda y, v: np.zeros_like(v))
 
 
-def exp_metric_1d() -> Metric:
-    """g(z) = e^{2z} on the line, so Gamma = g'/(2g) = 1; geodesics are
-    gamma(t) = gamma0 + log(1 + v0 t) after rescaling, with a logarithmic
-    barrier at v0 t = -1."""
-
-    def g(z):
-        return np.exp(2.0 * np.asarray(z, dtype=np.float64))[..., None]
-
-    return Metric(1, g, lambda y, v: -(v * v))
-
-
 def conformal_metric_2d() -> Metric:
     """g = e^{2 lam(z)} I on the plane with lam(z) = 0.2 sin(2 pi z1)
     cos(2 pi z2).  Its Christoffel symbols are

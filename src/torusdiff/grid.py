@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,8 +57,7 @@ class GridSpec:
         x = self.axis_coordinates()
         if self.dim == 1:
             return x[:, None]
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+        return np.stack(np.meshgrid(*[x] * self.dim, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers along one axis in FFT order."""
@@ -66,10 +65,7 @@ class GridSpec:
 
     def wavevector_sq(self) -> np.ndarray:
         """|k|^2 on the full spectral grid, shape == self.shape."""
-        k = self.wavenumbers()
-        if self.dim == 1:
-            return k**2
-        return k[:, None] ** 2 + k[None, :] ** 2
+        return reduce(np.add.outer, [self.wavenumbers() ** 2] * self.dim)
 
     def refined(self, factor: int) -> "GridSpec":
         return GridSpec(self.dim, self.size * factor)
@@ -326,10 +322,7 @@ def _symbol(spec: GridSpec, axis: int) -> np.ndarray:
     """Derivative symbol 2*pi*i*k along `axis`, Nyquist zeroed."""
     k = spec.wavenumbers()  # a fresh array
     k[spec.size // 2] = 0.0
-    sym = TWO_PI * 1j * k
-    if spec.dim == 1:
-        return sym
-    return sym[:, None] if axis == 0 else sym[None, :]
+    return (TWO_PI * 1j * k).reshape((1,) * axis + (-1,) + (1,) * (spec.dim - 1 - axis))
 
 
 def differentiate(F: Spectrum, axis: int = 0) -> Spectrum:
@@ -405,7 +398,7 @@ def _seed_list(seed) -> list:
 
 def random_field(spec: GridSpec, s: float, seed, components: int = 1) -> Spectrum:
     """Seeded random field with coefficient decay (1+|k|^2)^{-(s+decay)/2},
-    decay = 0.6 on T^1 and 1.1 on T^2 (above dim/2, so the field lies in H^s).
+    decay = dim/2 + 0.1 (0.6 on T^1, 1.1 on T^2), so the field lies in H^s.
 
     Each conjugate mode pair carries an independent standard complex
     Gaussian, so E|fhat_k|^2 = (1+|k|^2)^{-(s+decay)}.  Modes are drawn in a
@@ -418,7 +411,7 @@ def random_field(spec: GridSpec, s: float, seed, components: int = 1) -> Spectru
     for bit: each seed keeps its own generator.
     """
     seeds = _seed_list(seed)
-    decay = 0.6 if spec.dim == 1 else 1.1
+    decay = spec.dim / 2 + 0.1
     ksq, pos, neg = _mode_slots(spec.dim, spec.size)
     sigma = (1.0 + ksq) ** (-(s + decay) / 2.0)
     # per row, the mean's draw and then the real and imaginary parts of the modes

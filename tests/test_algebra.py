@@ -6,20 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdiff.algebra import (
+    UNIT_REFINE,
     StabilityError,
     divide,
     multiply,
-    one_plus,
     quotient_rule_residual,
     uset_membership,
 )
 from torusdiff.grid import (
     GridFunction,
     GridSpec,
+    band_project,
     forward_transform,
     fourier_truncate,
     inverse_transform,
     random_field,
+    refine,
 )
 from torusdiff.norms import hs_norm
 
@@ -72,6 +74,22 @@ def test_multiply_broadcasts_scalar_against_vector():
     for c in range(2):
         comp = multiply(scalar, GridFunction(spec, vector.values[c][None]))
         assert np.max(np.abs(out.values[c] - comp.values[0])) < 1e-14
+
+
+def test_multiply_component_counts_broadcast_or_raise():
+    """A 1-component field broadcasts against a 3-component one, bit for bit
+    the grid product of the refined operands projected back; 2 against 3
+    components raises ValueError."""
+    spec = GridSpec(1, 32)
+    one = inverse_transform(random_field(spec, 2.0, 5))
+    three = inverse_transform(random_field(spec, 2.0, 6, components=3))
+    fine = [refine(forward_transform(h), UNIT_REFINE) for h in (one, three)]
+    want = inverse_transform(band_project(
+        GridFunction(fine[0].spec, fine[0].values * fine[1].values), spec))
+    assert multiply(one, three).values.tobytes() == want.values.tobytes()
+    two = inverse_transform(random_field(spec, 2.0, 7, components=2))
+    with pytest.raises(ValueError):
+        multiply(two, three)
 
 
 @settings(max_examples=20, deadline=None)
@@ -150,7 +168,7 @@ def test_divide_closure_round_trip():
     f = inverse_transform(fourier_truncate(random_field(spec, 2.0, 21), 32))
     raw = inverse_transform(fourier_truncate(random_field(spec, 2.0, 22), 32))
     g = GridFunction(spec, 0.3 * raw.values / np.max(np.abs(raw.values)))
-    back = divide(multiply(f, one_plus(g)), g, eps)
+    back = divide(multiply(f, GridFunction(spec, 1.0 + g.values)), g, eps)
     assert np.max(np.abs(back.values - f.values)) < 1e-8
 
 
@@ -161,12 +179,6 @@ def test_divide_raises_outside_uset():
     with pytest.raises(StabilityError) as err:
         divide(f, g, 0.5)
     assert not err.value.certificate.member
-
-
-def test_one_plus_shifts_mean():
-    spec = GridSpec(1, 32)
-    g = trig(spec, lambda x: 0.1 * np.sin(TWO_PI * x))
-    assert np.max(np.abs(one_plus(g).values - (1.0 + g.values))) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from torusdiff.diffeo import (
     compose_function,
     compose_stack,
     gradient_sup,
-    identity_diffeo,
     inverse_derivative_residual,
     invert,
     make_diffeo,
@@ -39,6 +38,11 @@ from torusdiff.grid import (
 from torusdiff.suites import random_certified_displacement, run_suite
 
 TWO_PI = 2.0 * np.pi
+
+
+def identity_diffeo(spec):
+    """The identity map: make_diffeo of a zero displacement."""
+    return make_diffeo(Spectrum(spec, np.zeros((spec.dim,) + spec.shape, dtype=np.complex128)))
 
 
 def sine_disp(spec, amp):

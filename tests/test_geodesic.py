@@ -15,7 +15,6 @@ from torusdiff.geodesic import (
     conformal_metric_2d,
     d0_exp_error,
     exp_field,
-    exp_metric_1d,
     flat_metric,
     geodesic_flow,
     rk4_order_errors,
@@ -26,6 +25,14 @@ from torusdiff.suites import run_suite
 
 TWO_PI = 2.0 * np.pi
 FD_STEP = 1e-6
+
+
+def exp_metric_1d() -> Metric:
+    """g(z) = e^{2z} on the line, so Gamma = g'/(2g) = 1; geodesics are
+    gamma(t) = gamma0 + log(1 + v0 t) after rescaling, with a logarithmic
+    barrier at v0 t = -1."""
+    return Metric(1, lambda z: np.exp(2.0 * np.asarray(z, dtype=np.float64))[..., None],
+                  lambda y, v: -(v * v))
 
 
 # ---------------------------------------------------------------------------

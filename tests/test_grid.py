@@ -15,6 +15,7 @@ from torusdiff.grid import (
     _mirror_modes,
     _powers,
     _restrict_axis,
+    _symbol,
     band_project,
     differentiate,
     differentiate_multi,
@@ -195,6 +196,48 @@ def test_nyquist_mode_killed_by_derivative():
     F = forward_transform(GridFunction(spec, np.cos(np.pi * 16 * x)[None]))
     assert abs(F.coeffs[0, 8]) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(differentiate(F, 0).coeffs)) < 1e-12
+
+
+def wavevector_sq_by_dim(spec):
+    """The per-dimension |k|^2 that GridSpec.wavevector_sq replaced."""
+    k = spec.wavenumbers()
+    if spec.dim == 1:
+        return k**2
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def symbol_by_dim(spec, axis):
+    """The per-dimension derivative symbol that _symbol replaced."""
+    k = spec.wavenumbers()
+    k[spec.size // 2] = 0.0
+    sym = TWO_PI * 1j * k
+    if spec.dim == 1:
+        return sym
+    return sym[:, None] if axis == 0 else sym[None, :]
+
+
+def points_by_dim(spec):
+    """The per-dimension grid points that GridSpec.points replaced for dim 2."""
+    x = spec.axis_coordinates()
+    if spec.dim == 1:
+        return x[:, None]
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+
+
+@pytest.mark.parametrize("size", [8, 64, 256])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_and_spectral_multipliers_match_the_per_dimension_forms(dim, size):
+    """points (past its 1D branch), wavevector_sq and _symbol are
+    dimension-generic, and equal the per-dimension closed forms in shape,
+    dtype and bytes on every axis."""
+    spec = GridSpec(dim, size)
+    pairs = [(spec.points(), points_by_dim(spec))]
+    pairs += [(spec.wavevector_sq(), wavevector_sq_by_dim(spec))]
+    pairs += [(_symbol(spec, axis), symbol_by_dim(spec, axis)) for axis in range(dim)]
+    for got, want in pairs:
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
