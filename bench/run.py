@@ -1,4 +1,4 @@
-"""Micro-timings of torusdiff's primitives, one process, single-threaded.
+"""Micro-timings of torusdiff's primitives, single-threaded.
 
     python3 bench/run.py --out BENCH_16.json
     python3 bench/run.py --only evaluate/2d-    # a subset of the rows, by name prefix
@@ -15,6 +15,14 @@ give them per step.  BLAS and OpenMP are pinned to one thread before numpy
 is imported, so rows measure the code, not the thread pool.  It imports
 torusdiff from the `src/` next to this directory; to measure another
 checkout, copy this file into that checkout's `bench/` and run it there.
+
+The 2D `evaluate` rows (names starting with FRESH_PREFIX) read up to ~25%
+apart from one process to the next with no code change, more than within a
+process, so each is timed in FRESH fresh interpreters, taken in turn with the
+other such rows so that a slow spell of the machine falls on all of them
+alike; the row reports the process with the lowest median and lists every
+process's median as `process_medians_s`.  Every other row runs in this
+process.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import timeit
 from functools import partial
@@ -58,6 +67,8 @@ from torusdiff.suites import (  # noqa: E402
 )
 
 RUNS = 9  # timed runs per row
+FRESH = 5  # fresh processes per row named FRESH_PREFIX*
+FRESH_PREFIX = "evaluate/2d-"
 
 
 def field(dim: int, size: int, seed=1, s: float = 2.0, components: int = 1, band=None) -> Spectrum:
@@ -240,16 +251,40 @@ def time_row(fn, runs: int) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs": runs, "calls_per_run": number}
 
 
+# Loads this script without running `main`, times the row named argv[2] and
+# prints its record.
+TIME_ONE_ROW = """
+import json, runpy, sys
+script = runpy.run_path(sys.argv[1])
+build, kwargs = next((b, k) for name, b, k in script["ROWS"] if name == sys.argv[2])
+print(json.dumps(script["time_row"](build(**kwargs), script["RUNS"])))
+"""
+
+
+def time_rows_fresh(names: list[str]) -> dict:
+    """Each named row timed in FRESH new interpreters, the rows taken in turn:
+    per row the record with the lowest median, and every process's median."""
+    records = {name: [] for name in names}
+    for _ in range(FRESH):
+        for name in names:
+            proc = subprocess.run([sys.executable, "-c", TIME_ONE_ROW, __file__, name],
+                                  check=True, capture_output=True, text=True)
+            records[name].append(json.loads(proc.stdout.splitlines()[-1]))
+    return {name: {**min(runs, key=lambda run: run["median_s"]),
+                   "process_medians_s": [run["median_s"] for run in runs]}
+            for name, runs in records.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="JSON record path")
     parser.add_argument("--only", default="", help="time only the rows whose name starts with this")
     args = parser.parse_args(argv)
+    selected = [row for row in ROWS if row[0].startswith(args.only)]
+    fresh = time_rows_fresh([name for name, _, _ in selected if name.startswith(FRESH_PREFIX)])
     rows = {}
-    for name, build, kwargs in ROWS:
-        if not name.startswith(args.only):
-            continue
-        row = time_row(build(**kwargs), RUNS)
+    for name, build, kwargs in selected:
+        row = fresh[name] if name in fresh else time_row(build(**kwargs), RUNS)
         per, scale, unit = "", 1e3, "ms"
         if "steps" in kwargs:
             row.update({f"per_step_{key}": row[key] / kwargs["steps"]
