@@ -54,7 +54,8 @@ def _check_keys(payload: dict, keys, what: str, prefix: str = ""):
 
 
 def dump_json(payload: dict, path=None) -> str:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable,
+                      allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

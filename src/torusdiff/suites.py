@@ -59,10 +59,15 @@ _PAIRS = ("eps", "ratio_band", "d0_band", "rk4_band")  # exactly two numbers
 # integer keys and their least values; an _INTEGER_LISTS key holds a list of them
 _INTEGERS = {"trials": 1, "pairs": 1, "seed": 0, "octaves": 2}
 _INTEGER_LISTS = {"seeds": 0, "r_values": 1}
+_REALS = ("s", "s_prime", "amplitude", "epsilon", "base_amplitude", "lam")
 
 
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:  # inf, NaN and ints past float range fail, without overflow
+    return abs(value) <= sys.float_info.max
 
 
 def _integer(value, low: int) -> bool:
@@ -74,7 +79,8 @@ def _apply_params(p: dict, params: dict, *tolerances: str, **least: int):
     empty list, an _INTEGERS or `least` key that is no integer >= its least value,
     an _INTEGER_LISTS entry that is no such integer, a non-null `k_max` or
     `tolerances` entry that is no real number (or is not positive), a _PAIRS entry
-    that is no two real numbers and a band (a _PAIRS key but eps) high to low."""
+    that is no two real numbers, a band (a _PAIRS key but eps) high to low, and a
+    _REALS key, `k_max`, tolerance or pair entry that is not finite."""
     unknown = sorted(set(params) - set(p))
     if unknown:
         names = ", ".join(repr(key) for key in unknown)
@@ -92,6 +98,9 @@ def _apply_params(p: dict, params: dict, *tolerances: str, **least: int):
         if not isinstance(values, (list, tuple)) or not all(_integer(v, low) for v in values):
             raise ValueError(
                 f"parameter {key!r} must be a list of integers >= {low}, got {values!r}")
+    for key in (k for k in _REALS if k in p):
+        if not (_real(p[key]) and _finite(p[key])):
+            raise ValueError(f"parameter {key!r} must be a finite real number, got {p[key]!r}")
     if p.get("k_max") is not None and not _real(p["k_max"]):
         raise ValueError(f"parameter 'k_max' must be a real number or null, got {p['k_max']!r}")
     _require_positive(p, tolerances)
@@ -102,6 +111,9 @@ def _apply_params(p: dict, params: dict, *tolerances: str, **least: int):
             raise ValueError(f"parameter {key!r} must hold two real numbers, got {p[key]!r}")
         if key != "eps" and p[key][0] > p[key][1]:
             raise ValueError(f"parameter {key!r} must be [lo, hi] with lo <= hi, got {p[key]}")
+    for key in [*tolerances, *(k for k in _PAIRS if k in params), "k_max"]:
+        if p.get(key) is not None and not all(map(_finite, np.ravel(p[key]))):
+            raise ValueError(f"parameter {key!r} must be finite, got {p[key]}")
 
 
 def _require_positive(params: dict, keys: tuple[str, ...]):

@@ -132,6 +132,14 @@ def test_dump_json_rejects_unknown_types():
         dump_json({"bad": object()})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)])
+def test_dump_json_writes_strict_json(tmp_path, value):
+    """NaN and infinities are not JSON: they raise, and no file is written."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json({"margin": value}, tmp_path / "rep.json")
+    assert not (tmp_path / "rep.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # field / diffeo codecs
 
@@ -583,6 +591,37 @@ def test_an_integer_key_of_the_wrong_type_or_range_fails_before_any_work(
     assert entry["error"] == f"parameter {key!r} must be {kind}, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [("embedding", "s", True), ("embedding", "s", "x"), ("group", "amplitude", float("nan")),
+     ("algebra", "s_prime", float("inf")), ("quotient-rule", "epsilon", None),
+     ("inverse-differential", "amplitude", [0.1]), ("loss-of-derivative", "base_amplitude", "0.09"),
+     ("fractional", "lam", False), ("lipschitz", "s", -float("inf")), ("embedding", "s", 10**400)],
+)
+def test_a_real_valued_parameter_must_be_a_finite_real_number(no_work, name, key, value):
+    """`"s": true` used to run at s = 1 and pass, and `"s": "x"` to crash
+    inside the suite without naming its key."""
+    with pytest.raises(ValueError) as info:
+        run_suite(name, {key: value})
+    assert str(info.value) == f"parameter {key!r} must be a finite real number, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [("geodesic", "tol_flat", float("inf")), ("geodesic", "tol_flat", 10**400),
+     ("inverse-differential", "eps", [1e-3, float("inf")]),
+     ("geodesic", "rk4_band", [-float("inf"), float("inf")]),
+     ("geodesic", "d0_band", [float("nan"), 2]),
+     ("inverse-differential", "ratio_band", [3.5, float("inf")]),
+     ("algebra", "k_max", float("inf"))],
+)
+def test_an_infinite_tolerance_band_or_k_max_fails_before_any_work(no_work, name, key, value):
+    """An infinite bound made every check pass with margin NaN."""
+    with pytest.raises(ValueError) as info:
+        run_suite(name, {key: value})
+    assert str(info.value) == f"parameter {key!r} must be finite, got {value}"
+
+
 def test_a_real_k_max_still_runs():
     report = run_suite("algebra", {"sizes": [32, 64], "trials": 10, "k_max": 1})
     assert report.passed and [c["name"] for c in report.checks] == ["relative_spread", "max_envelope"]
@@ -685,6 +724,22 @@ def test_cli_verify_names_a_reversed_band_or_a_bad_geodesic_size(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: parameter {key!r}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, key, value",
+    [('{"tol_flat": Infinity}', "tol_flat", "inf"),
+     ('{"suites": [{"suite": "geodesic", "rk4_band": [-Infinity, Infinity]}]}', "rk4_band",
+      "[-inf, inf]")],
+)
+def test_cli_verify_rejects_a_literal_infinity(tmp_path, capsys, no_work, text, key, value):
+    """json.load reads `Infinity`; the suite used to PASS with margin nan."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["verify", "geodesic", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter {key!r} must be finite, got {value}\n"
 
 
 def test_cli_verify_a_flat_config_cannot_name_its_suite(tmp_path, capsys):
