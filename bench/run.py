@@ -1,11 +1,12 @@
 """Micro-timings of torusdiff's primitives, single-threaded.
 
-    python3 bench/run.py --out BENCH_17.json
+    python3 bench/run.py --out BENCH_19.json
     python3 bench/run.py --only evaluate/2d-    # a subset of the rows, by name prefix
 
 Times the layer primitives (`evaluate`, `refine`, the transforms, Newton
-`invert`, `certify_stack`, RK4 stepping, `multiply`, the Taylor-expansion
-calls, `slobodeckij_seminorm`, `random_field`) and thirteen suite runs on
+`invert`, `certify_stack`, `inverse_derivative_residual`, RK4 stepping,
+`multiply`, the Taylor-expansion calls, `slobodeckij_seminorm`,
+`random_field`) and thirteen suite runs on
 fixed seeded inputs.  Each row of ROWS is (name, builder, arguments): the
 builder does the setup and returns the call to time, and the arguments are
 written with the row.  The JSON record holds machine info, then per row the
@@ -58,7 +59,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from torusdiff import diffeo, geodesic, grid  # noqa: E402
 from torusdiff.algebra import multiply  # noqa: E402
 from torusdiff.calculus import remainder_order_probe, taylor_defect  # noqa: E402
-from torusdiff.diffeo import certify_stack, invert, make_diffeo  # noqa: E402
+from torusdiff.diffeo import (  # noqa: E402
+    certify_stack,
+    inverse_derivative_residual,
+    invert,
+    make_diffeo,
+)
 from torusdiff.geodesic import conformal_metric_2d, exp_field, geodesic_flow  # noqa: E402
 from torusdiff.grid import (  # noqa: E402
     GridFunction,
@@ -247,11 +253,19 @@ def _det_and_opnorm_plain(grad_vals):
 
 
 def det_opnorm_call(**maps):
-    """The 2D certification input, the maps' gradients refined to 4N: the in-place
+    """`gradient_sup`'s 2D input, the maps' gradients refined to 4N (it is the last
+    user of the 4N grid; certification samples each map at its band): the in-place
     `_det_and_opnorm` against plain expressions."""
     fine = refine(diffeo._displacement_gradient(stacked_maps(**maps)), diffeo.CERT_REFINE)
     vals = fine.values.reshape(maps["maps"], 4, -1).swapaxes(0, 1)
     return (lambda: diffeo._det_and_opnorm(vals, 2)), (lambda: _det_and_opnorm_plain(vals))
+
+
+def inverse_residual_call(dim, size, seed, modes):
+    """`inverse_derivative_residual` of a group map and its Newton inverse."""
+    phi = make_diffeo(group_map(dim, size, seed, modes))
+    psi = invert(phi)
+    return lambda: inverse_derivative_residual(phi, psi)
 
 
 def rk4_call(points, steps):
@@ -363,8 +377,11 @@ ROWS = [
      dict(dim=2, size=64, maps=8, seeds=[13, 20], modes=4)),
     ("det_and_opnorm/2d-N64x8", det_opnorm_call,
      dict(dim=2, size=64, maps=8, seeds=[13, 20], modes=4)),
+    ("certify_stack/1d-N256", certify_call, dict(dim=1, size=256, seed=13, modes=16)),
     ("certify_stack/1d-N256x17", certify_call,
      dict(dim=1, size=256, maps=17, seeds=[13, 29], modes=16)),
+    ("inverse_derivative_residual/2d-N64", inverse_residual_call,
+     dict(dim=2, size=64, seed=13, modes=4)),
     ("rk4/geodesic_flow-P1-steps8192", rk4_call, dict(points=1, steps=8192)),
     ("rk4/exp_field-P4096-steps64", rk4_call, dict(points=4096, steps=64)),
     ("multiply/1d-N256", multiply_call, dict(dim=1, size=256)),

@@ -1,11 +1,16 @@
 """Certified diffeomorphisms of the torus close to the identity.
 
 A map phi = id + u (u periodic, same dimension as the grid) is accepted as
-a diffeomorphism when two conditions hold on a 4x refined grid:
+a diffeomorphism when two conditions hold everywhere on the torus:
 
   * orientation: det(d phi) stays above a configurable positive floor;
   * injectivity: sup over points of the operator norm of du is < 1, which
     makes x + u(x) a contraction argument away from collisions.
+
+Both are checked on proven bounds, not on a grid sample: each map's
+gradient splits at its own band into a trigonometric polynomial, bounded
+from samples by the Ehlich-Zeller inequality (_sampled_bounds), and a tail
+bounded by its l1 norm (certify_stack).
 
 The second condition is sufficient but not necessary; it is the price of a
 certificate that needs no global search.  Composition re-certifies its
@@ -18,8 +23,12 @@ inverses carry `contraction_certified = False` in their certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +36,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     Spectrum,
+    _symbol,
     _trusted,
     differentiate,
     evaluate,
@@ -37,12 +47,20 @@ from .grid import (
 
 CERT_REFINE = 4
 DEFAULT_MIN_DET = 0.05
+TAIL_SHARE = 1e-3  # gradient l1 tail past a map's certified band, per unit of margin
 NEWTON_HALVINGS = 5  # step halvings per Newton sweep while a residual grows
+
+
+# the identity matrix per dimension, shaped to add to (n, n, *shape) Jacobian values
+_IDENTITY = {n: np.eye(n).reshape((n, n) + (1,) * n) for n in (1, 2)}
 
 
 class DiffeoError(ValueError):
     """Certificate failure; `reason` is 'orientation', 'injectivity' or
-    'conditioning', and `witness` locates an offending refined grid point."""
+    'conditioning'.  When det d phi is at or below the floor at a point of
+    phi's own grid, `witness` is that point and `value` that det; otherwise
+    `value` is the failing bound and `witness` the point of the map's sample
+    grid where the sampled det is least ('injectivity': |du|_op greatest)."""
 
     def __init__(self, reason: str, witness, value: float):
         self.reason = reason
@@ -69,8 +87,8 @@ class Diffeo:
     displacement: Spectrum
     disp_values: np.ndarray  # (n, *shape)
     jacobian: np.ndarray  # d phi = I + du at grid points, (n, n, *shape)
-    min_det: float  # over the refined certificate grid
-    max_grad: float  # sup of |du|_op over the refined grid
+    min_det: float  # a proven lower bound on inf det d phi over the torus
+    max_grad: float  # a proven upper bound on sup |du|_op over the torus
     min_det_floor: float
     contraction_certified: bool = True  # False only for by-construction inverses
 
@@ -92,7 +110,9 @@ class Diffeo:
 def _displacement_gradient(u: Spectrum) -> Spectrum:
     """Gradient of a d-component field stacked as d*n components, row-major (c, j)."""
     n = u.spec.dim
-    grads = np.stack([differentiate(u, j).coeffs for j in range(n)], axis=1)
+    grads = np.empty((u.num_components, n) + u.spec.shape, complex)
+    for j in range(n):  # differentiate(u, j), written in place
+        np.multiply(u.coeffs, _symbol(u.spec, j), out=grads[:, j])
     return _trusted(Spectrum, u.spec, grads.reshape((-1,) + u.spec.shape))
 
 
@@ -118,16 +138,16 @@ def _det_and_opnorm(grad_vals: np.ndarray, dim: int):
     return det, key
 
 
-def _opnorm(key: float, dim: int) -> float:
-    """|du|_op from one _det_and_opnorm key."""
-    return float(key) if dim == 1 else math.sqrt(max(key / 2.0, 0.0))
+def _opnorm(key, dim: int):
+    """|du|_op from _det_and_opnorm keys (a scalar or an array of them)."""
+    return key if dim == 1 else np.sqrt(np.maximum(key / 2.0, 0.0))
 
 
 def gradient_sup(u: Spectrum) -> float:
     """sup over the CERT_REFINE-refined grid of the operator norm of du."""
     fine = refine(_displacement_gradient(u), CERT_REFINE)
     _, key = _det_and_opnorm(fine.values, u.spec.dim)
-    return _opnorm(np.max(key), u.spec.dim)
+    return float(_opnorm(np.max(key), u.spec.dim))
 
 
 def solve_jacobian(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -143,42 +163,201 @@ def solve_jacobian(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.stack([(d * r[0] - b * r[1]) / det, (a * r[1] - c * r[0]) / det])
 
 
+def _check_options(min_det_floor, refine_factor):
+    """The certificate options, checked before any work: a finite real floor > 0
+    and an integer refine factor >= 1, neither of them a bool."""
+    real = isinstance(min_det_floor, float) or (  # the float test first: it is the fast one
+        isinstance(min_det_floor, numbers.Real) and not isinstance(min_det_floor, bool))
+    if not (real and 0.0 < min_det_floor <= sys.float_info.max):  # NaN fails the comparison
+        raise ValueError(f"min_det_floor must be a finite real number > 0, got {min_det_floor!r}")
+    integer = type(refine_factor) is int or (
+        isinstance(refine_factor, numbers.Integral) and not isinstance(refine_factor, bool))
+    if not (integer and refine_factor >= 1):
+        raise ValueError(f"refine_factor must be an integer >= 1, got {refine_factor!r}")
+
+
+@lru_cache(maxsize=8)
+def _shell_order(dim: int, size: int) -> tuple:
+    """The k_last = 0..N/2 half of the (size,)*dim grid, which the transforms
+    read: its flat slots in the full grid ordered by |k|_inf from N/2 down to
+    0, their weights in that order (2 where k_last = 1..N/2-1 stands for the
+    conjugate pair, else 1), and for K = 0..N/2-1 the position in that order
+    of the last slot with |k|_inf > K.  Read-only arrays, or slices in 1D."""
+    half = size // 2
+    if dim == 1:  # the order is k = N/2 down to 0: slices, so no gather
+        weight = np.where(np.arange(half, -1, -1) % half > 0, 2.0, 1.0)
+        weight.flags.writeable = False
+        return slice(half, None, -1), weight, slice(half - 1, None, -1)
+    kabs = np.minimum(np.arange(size), size - np.arange(size))
+    shell = np.maximum.outer(kabs, np.arange(half + 1)).ravel()
+    slots = (np.arange(size)[:, None] * size + np.arange(half + 1)).ravel()
+    weight = np.where(np.arange(half + 1) % half > 0, 2.0, 1.0)
+    weight = np.broadcast_to(weight, (size, half + 1)).ravel()
+    order = np.argsort(-shell, kind="stable")
+    last = np.searchsorted(-shell[order], -np.arange(half)) - 1
+    tables = slots[order], weight[order], last
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _shell_tails(coeffs: np.ndarray, spec: GridSpec):
+    """For (rows, P) coefficients on spec's grid: each row's l1 norm sum_k |c_k|
+    and its l1 tails past band K, sum_{|k|_inf > K} |c_k| for K = 0..N/2-1
+    (as (rows, N/2)), summed over the half that the transforms read."""
+    slots, weight, last = _shell_order(spec.dim, spec.size)
+    sums = np.cumsum(np.abs(coeffs[:, slots]) * weight, axis=1)
+    return sums[:, -1], sums[:, last]
+
+
+def _band_samples(grad: np.ndarray, band: int, points: int) -> np.ndarray:
+    """Values of the |k|_inf <= band part of maps' gradient spectra grad
+    (B, n*n, *shape) on the grid of `points` > 2 band per axis, (B, n*n, P) in
+    C order: an inverse FFT of the band zero-padded to `points`."""
+    if grad.ndim == 3:
+        return np.fft.irfft(grad[..., : band + 1], n=points, norm="forward")
+    k = np.arange(-band, band + 1)
+    pad = np.zeros(grad.shape[:2] + (points, band + 1), complex)
+    pad[:, :, k % points] = grad[:, :, k % grad.shape[2], : band + 1]
+    # k_2 is zero-padded to points/2
+    vals = np.fft.irfftn(pad, s=(points, points), axes=(2, 3), norm="forward")
+    return vals.reshape(grad.shape[:2] + (-1,))
+
+
+def _sampled_bounds(vals: np.ndarray, sec: float, dim: int) -> list:
+    """Per map of the gradient samples vals (B, n*n, P) of band-limited du on
+    L points per axis, with sec = sec(D pi / L)^n for their degree D: the least
+    sampled det(I + du), the greatest sampled |du|_op, a lower bound on
+    det(I + du) and an upper bound on |du|_op over the torus.
+
+    A real trigonometric polynomial p of degree D per axis, sampled at L > 2D
+    points per axis, satisfies sup |p - c| <= sec(D pi / L)^n max_j |p(x_j) - c|
+    for every constant c (Ehlich & Zeller, Math. Z. 86, 1964).  det(I + du) and
+    |du e|^2, for every unit vector e, have degree D = n K for du of band K.
+    With c the centre and h the half-width of the det samples' range,
+    det >= c - sec h.  In 1D u' = det - 1, so |u'| <= |c - 1| + sec h.  In 2D
+    every |du e|^2 has its samples in [0, top^2], top the greatest sampled
+    |du|_op, so |du|_op^2 <= (1 + sec^2) top^2 / 2.
+    """
+    if dim == 1:  # from the range [a, b] of u'
+        lo = np.minimum.reduce(vals[:, 0], 1).tolist()
+        hi = np.maximum.reduce(vals[:, 0], 1).tolist()
+        return [(1.0 + a, max(-a, b), 1.0 + (a + b) / 2.0 - sec * (b - a) / 2.0,
+                 abs(a + b) / 2.0 + sec * (b - a) / 2.0) for a, b in zip(lo, hi)]
+    det, key = _det_and_opnorm(vals.swapaxes(0, 1), dim)
+    top, factor = _opnorm(key.max(1), dim).tolist(), math.sqrt((1.0 + sec) / 2.0)
+    return [(a, t, (a + b) / 2.0 - sec * (b - a) / 2.0, factor * t)
+            for a, b, t in zip(det.min(1).tolist(), det.max(1).tolist(), top)]
+
+
+def _certified_bounds(grad: np.ndarray, margin: np.ndarray, spec: GridSpec,
+                      min_det_floor: float, refine_factor: int, check_contraction: bool):
+    """(min_det, max_grad) bounds for maps whose gradient spectra are grad
+    (B, n*n, *shape) and whose grid det exceeds the floor by `margin`, in map
+    order, or the first failing map's DiffeoError.
+
+    Each map is certified at its own band K: the smallest whose gradient l1
+    tail past K, summed over the entries, is at most TAIL_SHARE * margin.  Its
+    band part is sampled on L = refine_factor * (D + 1) points per axis (at
+    least 2D + 2, rounded up to even; D = n K) and bounded by _sampled_bounds;
+    then the tails t_e of the entries widen the bounds, |du|_op by
+    (sum_e t_e^2)^(1/2) and det by t in 1D, by sum_e t_e s_e' in 2D, where s_e'
+    is the l1 norm of the cofactor entry of I + du.  A map whose bounds fail a
+    check that its samples pass is resampled once at 4L.  Maps that share
+    (K, L) share one batched FFT.
+    """
+    count, n, half = len(grad), spec.dim, spec.size // 2
+    norms, tails = _shell_tails(grad.reshape(count * n * n, spec.num_points), spec)
+    tails = tails.reshape(count, n * n, half)
+    total = tails[:, 0] if n == 1 else tails.sum(1)
+    bands = np.minimum((total > TAIL_SHARE * margin[:, None]).sum(1), half - 1)
+    tail = tails[np.arange(count), :, bands]  # (B, n*n)
+    if n == 1:
+        det_tail = op_tail = tail[:, 0].tolist()
+    else:
+        cofactor = norms.reshape(count, n * n)[:, ::-1] + np.eye(n).ravel()
+        det_tail = np.sum(tail * cofactor, axis=1).tolist()
+        op_tail = np.sqrt(np.sum(tail * tail, axis=1)).tolist()
+    found = [None] * count  # per map: its two bounds, band and points per axis
+    bands = bands.tolist()
+    order = sorted(range(count), key=bands.__getitem__)  # maps of one band lie together
+    ordered = grad if order == list(range(count)) else grad[order]
+    start = 0
+    for band, rows in itertools.groupby(order, key=bands.__getitem__):
+        rows = list(rows)
+        maps, start = ordered[start : start + len(rows)], start + len(rows)
+        base = max(refine_factor, 2) * (n * band + 1)  # L > 2D for refine_factor 1 too
+        base += base % 2
+        for points in (base, 4 * base):
+            sec = math.cos(n * band * math.pi / points) ** -n
+            vals = _band_samples(maps, band, points)
+            again = []
+            for b, (lo, top, low, high) in zip(rows, _sampled_bounds(vals, sec, n)):
+                low, high = low - det_tail[b], high + op_tail[b]
+                found[b] = low, high, band, points
+                sampled = lo >= min_det_floor and not (check_contraction and top >= 1.0)
+                if sampled and (low < min_det_floor or check_contraction and high >= 1.0):
+                    again.append(b)
+            if not again:
+                break
+            rows, maps = again, grad[again]
+    certs = []
+    for b, (low, high, band, points) in enumerate(found):
+        reason = ("orientation" if low <= 0.0 else
+                  "injectivity" if check_contraction and high >= 1.0 else
+                  "conditioning" if low < min_det_floor else None)
+        if reason:  # the witness is a point of the map's sample grid
+            det, key = _det_and_opnorm(_band_samples(grad[b : b + 1], band, points)[0], n)
+            at = np.argmax(key) if reason == "injectivity" else np.argmin(det)
+            raise DiffeoError(reason, np.array(np.unravel_index(at, (points,) * n)) / points,
+                              high if reason == "injectivity" else low)
+        certs.append((low, high))
+    return certs
+
+
 def certify_stack(displacement: Spectrum, min_det_floor: float = DEFAULT_MIN_DET,
                   refine_factor: int = CERT_REFINE, check_contraction: bool = True) -> list[Diffeo]:
     """Certify B maps id + u_b given as one (B*n)-component displacement and
     build their Diffeos in order, or raise the first failing map's DiffeoError.
-    Transforms run once for the whole stack, the checks map by map: min_det
-    and max_grad come from one argmin of det and one argmax of the
-    _det_and_opnorm key per map, the square root only at that point.
+
+    Each map's det d phi on its own grid comes first: a value at or below the
+    floor fails the map there ('orientation' at or below 0, else
+    'conditioning').  A map that passes gets proven bounds, min_det <= inf det
+    d phi and max_grad >= sup |du|_op, from samples at its own band size
+    (_certified_bounds), and fails when min_det <= 0 ('orientation'),
+    max_grad >= 1 ('injectivity') or min_det < the floor ('conditioning').
+    Transforms run once for the whole stack; each map's bounds depend on that
+    map alone.
 
     `check_contraction=False` (for invert, whose output is injective by
-    construction) records sup|du|_op >= 1 and flags the certificate instead.
+    construction) records max_grad >= 1 and flags the certificate instead.
     """
+    _check_options(min_det_floor, refine_factor)
     spec, n = displacement.spec, displacement.spec.dim
-    if min_det_floor <= 0:
-        raise ValueError("min_det_floor must be positive")
-    grad = _displacement_gradient(displacement)
-    fine = refine(grad, refine_factor)
     stack = (displacement.num_components // n, n)
-    det, key = _det_and_opnorm(fine.values.reshape(stack[0], n * n, -1).swapaxes(0, 1), n)
-    certs = []  # (min_det, max_grad) per map; rows of det and key are maps
-    for idx, gidx, det_b, key_b in zip(np.argmin(det, 1), np.argmax(key, 1), det, key):
-        min_det, max_grad = float(det_b[idx]), _opnorm(key_b[gidx], n)
-        if min_det <= 0.0:
-            raise DiffeoError("orientation", fine.spec.points()[idx], min_det)
-        if check_contraction and max_grad >= 1.0:
-            raise DiffeoError("injectivity", fine.spec.points()[gidx], max_grad)
-        if min_det < min_det_floor:
-            raise DiffeoError("conditioning", fine.spec.points()[idx], min_det)
-        certs.append((min_det, max_grad))
+    grad = _displacement_gradient(displacement)
+    both = np.concatenate([displacement.coeffs, grad.coeffs])  # [u; du]: one transform
+    vals = inverse_transform(_trusted(Spectrum, spec, both)).values
+    jac = vals[stack[0] * n :].reshape(stack + (n,) + spec.shape)
+    jac = jac + _IDENTITY[n]
+    flat = jac.reshape(stack[0], n * n, -1)
+    det = flat[:, 0] if n == 1 else flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2]
+    margin = np.minimum.reduce(det, 1) - min_det_floor
+    stop = next((b for b, m in enumerate(margin.tolist()) if m <= 0.0), stack[0])
+    grad_maps = grad.coeffs.reshape((stack[0], n * n) + spec.shape)[:stop]
+    certs = _certified_bounds(grad_maps, margin[:stop], spec, min_det_floor, refine_factor,
+                              check_contraction)
+    if stop < stack[0]:  # the first map whose grid det is at or below the floor
+        idx = int(np.argmin(det[stop]))
+        value = float(det[stop, idx])
+        raise DiffeoError("orientation" if value <= 0.0 else "conditioning",
+                          spec.points()[idx], value)
     coeffs = displacement.coeffs.reshape(stack + spec.shape)
-    disp = inverse_transform(displacement).values.reshape(stack + spec.shape)
-    jac = inverse_transform(grad).values.reshape(stack + (n,) + spec.shape)
-    jac = jac + np.eye(n).reshape((n, n) + (1,) * n)
+    disp = vals[: stack[0] * n].reshape(stack + spec.shape)
     return [
-        Diffeo(_trusted(Spectrum, spec, c), vals, jac_b, min_det, max_grad, min_det_floor,
+        Diffeo(_trusted(Spectrum, spec, c), disp_b, jac_b, min_det, max_grad, min_det_floor,
                contraction_certified=max_grad < 1.0)
-        for c, vals, jac_b, (min_det, max_grad) in zip(coeffs, disp, jac, certs)
+        for c, disp_b, jac_b, (min_det, max_grad) in zip(coeffs, disp, jac, certs)
     ]
 
 
@@ -302,17 +481,15 @@ def chain_rule_residual(f: Spectrum, phi: Diffeo) -> float:
 
 def inverse_derivative_residual(phi: Diffeo, psi: Diffeo) -> float:
     """Max grid defect of d(phi^{-1} - id) = ((d phi)^{-1} - I) o phi^{-1},
-    with psi = invert(phi)."""
+    with psi = invert(phi): the left side differentiates psi's displacement
+    spectrally, the right side inverts d phi = I + du at psi's point images,
+    from one compose_stack of du (at u's band)."""
     n = phi.dim
-    spec = phi.spec
     lhs = inverse_transform(_displacement_gradient(psi.displacement)).values
-    jac = phi.jacobian.reshape(n * n, -1)
+    jac = compose_stack(_displacement_gradient(phi.displacement), [psi])[0].reshape(n * n, -1)
+    jac[:: n + 1] += 1.0  # d phi o psi
     eye = np.eye(n)
     # column j of (d phi)^{-1} solves d phi s = e_j
     jac_inv = np.stack([solve_jacobian(jac, e) for e in eye], axis=1)
-    b_entries = jac_inv - eye[:, :, None]
-    b_spec = forward_transform(
-        GridFunction(spec, b_entries.reshape((n * n,) + spec.shape))
-    )
-    rhs = compose_stack(b_spec, [psi])[0]
+    rhs = (jac_inv - eye[:, :, None]).reshape(lhs.shape)
     return float(np.max(np.abs(lhs - rhs)))

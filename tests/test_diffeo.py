@@ -75,13 +75,64 @@ def test_identity_certificate():
     assert phi.contraction_certified
 
 
-def test_certificate_values_for_sine():
+def dense_det_and_opnorm(u, factor=16):
+    """The closed-form det d phi and |du|_op of id + u on the grid refined by
+    `factor` (16N: the dense sample the certificate bounds are checked against)."""
+    grad = refine(_displacement_gradient(u), factor).values.reshape(u.spec.dim**2, -1)
+    return closed_form_det_and_opnorm(grad, u.spec.dim)
+
+
+def assert_bounds_dense_sample(phi, slack=None):
+    """min_det <= the dense min of det d phi and max_grad >= the dense max of
+    |du|_op.  With `slack`, a bound on the secant factor sec(D pi / L) per
+    axis, each also lies within 1e-6 plus (slack^n - 1) times the dense
+    half-range of det (det, and |du|_op in 1D), or for |du|_op in 2D below
+    sqrt((1 + slack^2) / 2) times its dense max."""
+    det, opnorm = dense_det_and_opnorm(phi.displacement)
+    low, high, top = float(np.min(det)), float(np.max(det)), float(np.max(opnorm))
+    assert phi.min_det <= low and phi.max_grad >= top
+    if slack is not None:
+        sec = slack**phi.dim
+        assert low - phi.min_det <= (sec - 1.0) * (high - low) / 2.0 + 1e-6
+        if phi.dim == 1:
+            assert phi.max_grad - top <= (sec - 1.0) * (high - low) / 2.0 + 1e-6
+        else:
+            assert phi.max_grad <= np.sqrt((1.0 + sec) / 2.0) * top + 1e-6
+
+
+def test_certificate_bounds_for_sine():
+    """phi' = 1 + a cos(2 pi x) with a = 0.05 * 2 pi has band 1, so it is
+    sampled on L = 8 points; they hit both extremes 1 +- a, and the bounds are
+    1 -+ sec(pi / 8) a, which the dense sample brackets."""
     spec = GridSpec(1, 128)
     phi = make_diffeo(sine_disp(spec, 0.05))
-    # phi' = 1 + 0.05 * 2 pi cos(2 pi x)
-    assert phi.min_det == pytest.approx(1.0 - 0.05 * TWO_PI, abs=1e-6)
-    assert phi.max_grad == pytest.approx(0.05 * TWO_PI, abs=1e-6)
+    slope = 0.05 * TWO_PI / np.cos(np.pi / 8)
+    assert phi.min_det == pytest.approx(1.0 - slope, abs=1e-14)
+    assert phi.max_grad == pytest.approx(slope, abs=1e-14)
+    assert_bounds_dense_sample(phi, slack=1.0 / np.cos(np.pi / 8))
     assert phi.mean_displacement[0] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("degree, factor", [(1, 4), (2, 4), (4, 8)])
+def test_secant_factor_is_attained(degree, factor):
+    """u' = A cos(2 pi D (x - 1/(2L))) has its peaks and troughs half a sample
+    step from the certificate's L = factor (D + 1) points (L / D is even), so
+    its samples reach only +-A cos(D pi / L): the factor sec(D pi / L) is the
+    least that still bounds it, and the bounds equal the true extremes 1 - A
+    and A."""
+    spec, amp = GridSpec(1, 64), 0.5
+    points = factor * (degree + 1)
+    coeffs = np.zeros((1,) + spec.shape, dtype=np.complex128)
+    # u = A / (2 pi D) sin(2 pi D (x - s)) = Im(c e(D x)) with c = A / (2 pi D) e(-D s)
+    c = amp / (TWO_PI * degree) * np.exp(-1j * np.pi * degree / points)
+    coeffs[0, degree], coeffs[0, -degree] = c / 2j, -np.conj(c) / 2j
+    phi = make_diffeo(Spectrum(spec, coeffs), refine_factor=factor)
+    samples = amp * np.cos(TWO_PI * degree * (np.arange(points) - 0.5) / points)
+    reach = amp * np.cos(degree * np.pi / points)
+    assert np.max(np.abs(samples)) == pytest.approx(reach, rel=1e-14)
+    assert phi.min_det == pytest.approx(1.0 - amp, abs=1e-14)
+    assert phi.max_grad == pytest.approx(amp, abs=1e-14)
+    assert_bounds_dense_sample(phi)
 
 
 def test_orientation_failure_detected_first():
@@ -226,22 +277,74 @@ CERTIFIED_STACKS = [
 
 
 @pytest.mark.parametrize("spec, draws", CERTIFIED_STACKS)
-def test_certificate_extremes_equal_the_closed_form(spec, draws):
-    """Precision contract: min_det and max_grad of certify_stack, and
-    gradient_sup, equal the extremes of the closed-form det and |du|_op on
-    the refined grid bit for bit; max_grad is within 1e-14 (1 + max_grad) of
-    the spectral norm of du at the point where it is attained."""
+def test_certificate_bounds_bracket_the_dense_sample(spec, draws):
+    """min_det and max_grad of certify_stack bound the 16N-sampled extremes of
+    det d phi and |du|_op, and lie within the secant slack of them: these
+    band-limited maps are sampled at L = 4 (D + 1) points per axis, where
+    sec(D pi / L) < sec(pi / 4), and at 4L, where it is < sec(pi / 16), when the
+    bounds at L fail.  The steep maps (0.9, 0.95) certify, which bounding
+    |du|_op by the Frobenius norm of du (1.08-1.29) would not."""
     disps = [random_certified_displacement(spec, *draw) for draw in draws]
     maps = certify_stack(_stacked(disps))
     assert len(maps) == len(draws)
-    for phi, u in zip(maps, disps):
+    for phi in maps:
+        assert_bounds_dense_sample(phi, slack=1.0 / np.cos(np.pi / 4))
+
+
+@pytest.mark.parametrize("spec, draws", CERTIFIED_STACKS)
+def test_gradient_sup_equals_the_closed_form(spec, draws):
+    """Precision contract: gradient_sup equals the max of the closed-form
+    |du|_op on the refined grid bit for bit, within 1e-14 (1 + sup) of the
+    spectral norm of du at the point where it is attained."""
+    for draw in draws:
+        u = random_certified_displacement(spec, *draw)
         grad = refine(_displacement_gradient(u), CERT_REFINE).values.reshape(spec.dim**2, -1)
-        det, opnorm = closed_form_det_and_opnorm(grad, spec.dim)
+        _, opnorm = closed_form_det_and_opnorm(grad, spec.dim)
         top = int(np.argmax(opnorm))
-        assert (phi.min_det, phi.max_grad) == (float(np.min(det)), float(opnorm[top]))
-        assert gradient_sup(u) == phi.max_grad
+        assert gradient_sup(u) == float(opnorm[top])
         jac = grad[:, top].reshape(spec.dim, spec.dim)
-        assert abs(phi.max_grad - np.linalg.norm(jac, 2)) <= 1e-14 * (1.0 + phi.max_grad)
+        assert abs(gradient_sup(u) - np.linalg.norm(jac, 2)) <= 1e-14 * (1.0 + opnorm[top])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.05, 0.5), st.sampled_from([2, 4, 6]),
+       st.sampled_from([(1, 64), (2, 16)]))
+def test_certificate_bounds_property(seed, amplitude, modes, grid):
+    """For random certified maps, their Newton inverses (full band, certified
+    without the contraction check) and compositions with a second map, no
+    bound is exceeded by the 16N-sampled det d phi or |du|_op."""
+    spec = GridSpec(*grid)
+    phi = make_diffeo(random_certified_displacement(spec, seed, modes, amplitude))
+    chi = make_diffeo(random_certified_displacement(spec, seed + 1, 2, 0.1))
+    for psi in (phi, invert(phi), compose_diffeo(phi, chi)):
+        assert_bounds_dense_sample(psi)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -0.1, True, "0.05", 10**400])
+def test_certificate_rejects_a_bad_floor_before_any_work(monkeypatch, floor):
+    """A NaN floor would pass 'min_det < floor' for every map: it, and every
+    floor that is not a finite real > 0, is rejected before the gradient."""
+    monkeypatch.setattr(diffeo_module, "_displacement_gradient", None)  # any use raises
+    u = sine_disp(GridSpec(1, 256), 0.155)  # min det 0.026
+    with pytest.raises(ValueError, match=r"min_det_floor must be a finite real number > 0, got"):
+        make_diffeo(u, min_det_floor=floor)
+
+
+@pytest.mark.parametrize("factor", [True, False, 0, -4, 2.0, "4"])
+def test_certificate_rejects_a_bad_refine_factor_before_any_work(monkeypatch, factor):
+    """refine_factor=True was refine(F, 1), the unrefined grid: a bool, and
+    every value that is not an integer >= 1, is rejected before the gradient."""
+    monkeypatch.setattr(diffeo_module, "_displacement_gradient", None)
+    with pytest.raises(ValueError, match=r"refine_factor must be an integer >= 1, got"):
+        make_diffeo(sine_disp(GridSpec(1, 64), 0.05), refine_factor=factor)
+
+
+def test_nan_floor_no_longer_accepts_an_ill_conditioned_map():
+    u = sine_disp(GridSpec(1, 256), 0.155)
+    with pytest.raises(DiffeoError, match="conditioning"):
+        make_diffeo(u)
+    with pytest.raises(ValueError, match="min_det_floor"):
+        make_diffeo(u, min_det_floor=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -961,6 +961,24 @@ def test_cli_compose_and_invert_reject_an_uncertifiable_diffeo(tmp_path, capsys)
         assert captured.err.startswith("error: conditioning failure") and captured.out == ""
 
 
+def test_diffeo_codec_and_cli_reject_a_nan_floor(tmp_path, capsys):
+    """json.load reads NaN, and a NaN floor would switch the conditioning check
+    off: the payload is rejected, naming the floor, and invert writes nothing."""
+    payload = diffeo_to_dict(sine_diffeo(GridSpec(1, 64), 0.1))
+    payload["certificate"]["min_det_floor"] = float("nan")
+    text = json.dumps(payload)  # allow_nan, as a foreign writer may
+    assert '"min_det_floor": NaN' in text
+    with pytest.raises(ValueError, match="min_det_floor must be a finite real number > 0, got nan"):
+        diffeo_from_dict(json.loads(text))
+    phi, out = tmp_path / "phi.json", tmp_path / "psi.json"
+    phi.write_text(text)
+    assert main(["invert", str(phi), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: min_det_floor must be a finite real")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value", [("min_det_floor", "x"), ("contraction_certified", "no")]
 )
