@@ -49,6 +49,8 @@ CERT_REFINE = 4
 DEFAULT_MIN_DET = 0.05
 TAIL_SHARE = 1e-3  # gradient l1 tail past a map's certified band, per unit of margin
 NEWTON_HALVINGS = 5  # step halvings per Newton sweep while a residual grows
+# sample points per map in one block of a 2D sample grid: bounds its temporaries
+_SAMPLE_BLOCK = 1 << 16
 
 
 # the identity matrix per dimension, shaped to add to (n, n, *shape) Jacobian values
@@ -210,25 +212,37 @@ def _shell_tails(coeffs: np.ndarray, spec: GridSpec):
     return sums[:, -1], sums[:, last]
 
 
-def _band_samples(grad: np.ndarray, band: int, points: int) -> np.ndarray:
+def _band_samples(grad: np.ndarray, band: int, points: int):
     """Values of the |k|_inf <= band part of maps' gradient spectra grad
-    (B, n*n, *shape) on the grid of `points` > 2 band per axis, (B, n*n, P) in
-    C order: an inverse FFT of the band zero-padded to `points`."""
+    (B, n*n, *shape) on the grid of `points` > 2 band per axis, from an
+    inverse FFT of the band zero-padded to `points`: (B, n*n, P_b) blocks of
+    whole grid rows in C order, a list of one in 1D and an iterator of blocks
+    of at most _SAMPLE_BLOCK points per map in 2D.  In 2D, at band N/2 the
+    Nyquist slots are split evenly between k = -N/2 and N/2, as in
+    grid.refine, so the samples are those of the whole interpolant (in 1D the
+    derivative has no Nyquist slot, so the band stays below N/2)."""
     if grad.ndim == 3:
-        return np.fft.irfft(grad[..., : band + 1], n=points, norm="forward")
+        return [np.fft.irfft(grad[..., : band + 1], n=points, norm="forward")]
+    size = grad.shape[2]  # the k_1 axis: the k_2 axis may be cut to the band
     k = np.arange(-band, band + 1)
+    block = grad[:, :, k % size, : band + 1]  # a copy
+    if 2 * band == size:
+        block[:, :, [0, -1]] *= 0.5
+        block[..., -1] *= 0.5
     pad = np.zeros(grad.shape[:2] + (points, band + 1), complex)
-    pad[:, :, k % points] = grad[:, :, k % grad.shape[2], : band + 1]
+    pad[:, :, k % points] = block
+    cols = np.fft.ifft(pad, axis=2, norm="forward")  # x_1 rows of k_2 columns
+    rows = max(1, _SAMPLE_BLOCK // points)
     # k_2 is zero-padded to points/2
-    vals = np.fft.irfftn(pad, s=(points, points), axes=(2, 3), norm="forward")
-    return vals.reshape(grad.shape[:2] + (-1,))
+    return (np.fft.irfft(cols[:, :, start : start + rows], n=points, norm="forward")
+            .reshape(grad.shape[:2] + (-1,)) for start in range(0, points, rows))
 
 
-def _sampled_bounds(vals: np.ndarray, sec: float, dim: int) -> list:
-    """Per map of the gradient samples vals (B, n*n, P) of band-limited du on
-    L points per axis, with sec = sec(D pi / L)^n for their degree D: the least
-    sampled det(I + du), the greatest sampled |du|_op, a lower bound on
-    det(I + du) and an upper bound on |du|_op over the torus.
+def _sampled_bounds(blocks, sec: float, dim: int) -> list:
+    """Per map of the gradient samples of band-limited du on L points per
+    axis, given as _band_samples blocks, with sec = sec(D pi / L)^n for their
+    degree D: the least sampled det(I + du), the greatest sampled |du|_op, a
+    lower bound on det(I + du) and an upper bound on |du|_op over the torus.
 
     A real trigonometric polynomial p of degree D per axis, sampled at L > 2D
     points per axis, satisfies sup |p - c| <= sec(D pi / L)^n max_j |p(x_j) - c|
@@ -240,14 +254,34 @@ def _sampled_bounds(vals: np.ndarray, sec: float, dim: int) -> list:
     |du|_op, so |du|_op^2 <= (1 + sec^2) top^2 / 2.
     """
     if dim == 1:  # from the range [a, b] of u'
+        [vals] = blocks
         lo = np.minimum.reduce(vals[:, 0], 1).tolist()
         hi = np.maximum.reduce(vals[:, 0], 1).tolist()
         return [(1.0 + a, max(-a, b), 1.0 + (a + b) / 2.0 - sec * (b - a) / 2.0,
                  abs(a + b) / 2.0 + sec * (b - a) / 2.0) for a, b in zip(lo, hi)]
-    det, key = _det_and_opnorm(vals.swapaxes(0, 1), dim)
-    top, factor = _opnorm(key.max(1), dim).tolist(), math.sqrt((1.0 + sec) / 2.0)
+    lows, highs, keys = [], [], []
+    for vals in blocks:
+        det, key = _det_and_opnorm(vals.swapaxes(0, 1), dim)
+        lows.append(det.min(1))
+        highs.append(det.max(1))
+        keys.append(key.max(1))
+    top, factor = _opnorm(np.max(keys, 0), dim).tolist(), math.sqrt((1.0 + sec) / 2.0)
     return [(a, t, (a + b) / 2.0 - sec * (b - a) / 2.0, factor * t)
-            for a, b, t in zip(det.min(1).tolist(), det.max(1).tolist(), top)]
+            for a, b, t in zip(np.min(lows, 0).tolist(), np.max(highs, 0).tolist(), top)]
+
+
+def _witness(grad: np.ndarray, band: int, points: int, greatest_opnorm: bool) -> np.ndarray:
+    """The point of one map's sample grid (grad (1, n*n, *shape)) where its
+    sampled det(I + du) is least, or its |du|_op greatest."""
+    dim, best, at, offset = grad.ndim - 2, -np.inf, 0, 0
+    for vals in _band_samples(grad, band, points):
+        det, key = _det_and_opnorm(vals[0], dim)
+        score = key if greatest_opnorm else -det
+        idx = int(np.argmax(score))
+        if score[idx] > best:  # the first such point, as one argmax over the grid
+            best, at = score[idx], offset + idx
+        offset += len(score)
+    return np.array(np.unravel_index(at, (points,) * dim)) / points
 
 
 def _certified_bounds(grad: np.ndarray, margin: np.ndarray, spec: GridSpec,
@@ -257,9 +291,10 @@ def _certified_bounds(grad: np.ndarray, margin: np.ndarray, spec: GridSpec,
     order, or the first failing map's DiffeoError.
 
     Each map is certified at its own band K: the smallest whose gradient l1
-    tail past K, summed over the entries, is at most TAIL_SHARE * margin.  Its
-    band part is sampled on L = refine_factor * (D + 1) points per axis (at
-    least 2D + 2, rounded up to even; D = n K) and bounded by _sampled_bounds;
+    tail past K, summed over the entries, is at most TAIL_SHARE * margin, or
+    N/2, which holds every coefficient.  Its band part is sampled on
+    L = refine_factor * (D + 1) points per axis (at least 2D + 2, rounded up
+    to even; D = n K) and bounded by _sampled_bounds;
     then the tails t_e of the entries widen the bounds, |du|_op by
     (sum_e t_e^2)^(1/2) and det by t in 1D, by sum_e t_e s_e' in 2D, where s_e'
     is the l1 norm of the cofactor entry of I + du.  A map whose bounds fail a
@@ -270,18 +305,20 @@ def _certified_bounds(grad: np.ndarray, margin: np.ndarray, spec: GridSpec,
     norms, tails = _shell_tails(grad.reshape(count * n * n, spec.num_points), spec)
     tails = tails.reshape(count, n * n, half)
     total = tails[:, 0] if n == 1 else tails.sum(1)
-    bands = np.minimum((total > TAIL_SHARE * margin[:, None]).sum(1), half - 1)
-    tail = tails[np.arange(count), :, bands]  # (B, n*n)
+    bands = (total > TAIL_SHARE * margin[:, None]).sum(1)  # 0..N/2
+    tail = tails[np.arange(count), :, np.minimum(bands, half - 1)]  # (B, n*n)
     if n == 1:
         det_tail = op_tail = tail[:, 0].tolist()
     else:
+        tail[bands == half] = 0.0  # band N/2 keeps every coefficient
         cofactor = norms.reshape(count, n * n)[:, ::-1] + np.eye(n).ravel()
         det_tail = np.sum(tail * cofactor, axis=1).tolist()
         op_tail = np.sqrt(np.sum(tail * tail, axis=1)).tolist()
     found = [None] * count  # per map: its two bounds, band and points per axis
     bands = bands.tolist()
     order = sorted(range(count), key=bands.__getitem__)  # maps of one band lie together
-    ordered = grad if order == list(range(count)) else grad[order]
+    low_part = grad[..., : max(bands, default=0) + 1]  # all that _band_samples reads
+    ordered = low_part if order == list(range(count)) else low_part[order]
     start = 0
     for band, rows in itertools.groupby(order, key=bands.__getitem__):
         rows = list(rows)
@@ -306,11 +343,10 @@ def _certified_bounds(grad: np.ndarray, margin: np.ndarray, spec: GridSpec,
         reason = ("orientation" if low <= 0.0 else
                   "injectivity" if check_contraction and high >= 1.0 else
                   "conditioning" if low < min_det_floor else None)
-        if reason:  # the witness is a point of the map's sample grid
-            det, key = _det_and_opnorm(_band_samples(grad[b : b + 1], band, points)[0], n)
-            at = np.argmax(key) if reason == "injectivity" else np.argmin(det)
-            raise DiffeoError(reason, np.array(np.unravel_index(at, (points,) * n)) / points,
-                              high if reason == "injectivity" else low)
+        if reason:
+            injective = reason == "injectivity"
+            raise DiffeoError(reason, _witness(grad[b : b + 1], band, points, injective),
+                              high if injective else low)
         certs.append((low, high))
     return certs
 

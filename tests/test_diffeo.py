@@ -320,6 +320,25 @@ def test_certificate_bounds_property(seed, amplitude, modes, grid):
         assert_bounds_dense_sample(psi)
 
 
+@pytest.mark.parametrize("seed", [7, 9, 20])
+def test_steep_inverse_certifies_at_the_nyquist_band(monkeypatch, seed):
+    """The Newton inverse of a steep T^2 map at N = 16 has gradient content in
+    its Nyquist shell, well past 1e-3 of its margin: it is certified at band
+    N/2, Nyquist slots split as in refine, and its bounds bracket the dense
+    sample (with the shell counted as tail, its det bound fell below 0)."""
+    bands = []
+    samples = diffeo_module._band_samples
+    monkeypatch.setattr(diffeo_module, "_band_samples",
+                        lambda grad, band, points: bands.append(band) or samples(grad, band, points))
+    spec = GridSpec(2, 16)
+    phi = make_diffeo(random_certified_displacement(spec, seed, 4, 0.85))
+    bands.clear()
+    psi = invert(phi)
+    assert spec.size // 2 in bands
+    assert_bounds_dense_sample(psi)
+    assert psi.min_det > 0.05
+
+
 @pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -0.1, True, "0.05", 10**400])
 def test_certificate_rejects_a_bad_floor_before_any_work(monkeypatch, floor):
     """A NaN floor would pass 'min_det < floor' for every map: it, and every
