@@ -342,7 +342,8 @@ def trusted_call():
 # calculus rows run on the taylor suites' inputs; slobodeckij_seminorm takes
 # sin(2 pi x) at the fractional suite's field and oracle sizes; suites run at
 # their defaults but for `group-t2`, perfbench's group-t2 workload entry.
-# 4352 points are 17 x 256, the Taylor path's; 32 components are 8 maps' 4 gradient entries.
+# 4352 points are 17 x 256, the Taylor path's, and 4 components at |k| <= 8 its jet stack
+# in taylor-order; 32 components are 8 maps' 4 gradient entries.
 ROWS = [
     ("points/1d-N256", points_call, dict(dim=1, size=256)),
     ("exp_points/scaling_defect", geodesic_law_call, dict(law="scaling")),
@@ -353,6 +354,8 @@ ROWS = [
      dict(dim=1, size=256, points=256, components=6, band=None)),
     ("evaluate/1d-N256-P4352-d1", evaluate_call,
      dict(dim=1, size=256, points=4352, components=1, band=None)),
+    ("evaluate/1d-N256-P4352-d4-band8", evaluate_call,
+     dict(dim=1, size=256, points=4352, components=4, band=8)),
     ("evaluate/2d-N64-P4096", evaluate_call,
      dict(dim=2, size=64, points=4096, components=2, band=None)),
     ("evaluate/2d-N64-P4096-d4", evaluate_call,

@@ -30,6 +30,7 @@ from .grid import (
     forward_transform,
     inverse_transform,
     random_field,
+    trig_polynomial,
 )
 from .norms import hs_norm, hs_norm_rows, multi_indices
 
@@ -295,11 +296,7 @@ def loss_of_derivative_probe(
         if 2 * k > spec.size // 2:
             raise ValueError(f"octave {j} unresolvable at size {spec.size}")
         weight = (1.0 + (2.0 * np.pi * k) ** 2) ** (s / 2.0)
-        coeffs = np.zeros((1,) + spec.shape, dtype=np.complex128)
-        amp = np.sqrt(2.0) / weight  # unit H^s norm for the sine mode
-        coeffs[0, k] = amp / (2.0 * 1j)
-        coeffs[0, -k] = -amp / (2.0 * 1j)
-        psi_j = Spectrum(spec, coeffs)
+        psi_j = trig_polynomial(spec, sines={k: np.sqrt(2.0) / weight})  # unit H^s norm
         base, *at_eps = compose_stack(psi_j, maps)
         diffs = (np.array(at_eps) - base).reshape((-1,) + spec.shape)
         quots = hs_norm_rows(forward_transform(_trusted(GridFunction, spec, diffs)), s, len(diffs))

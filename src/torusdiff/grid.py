@@ -318,11 +318,15 @@ def evaluate(F: Spectrum, points: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
 def _symbol(spec: GridSpec, axis: int) -> np.ndarray:
-    """Derivative symbol 2*pi*i*k along `axis`, Nyquist zeroed."""
+    """Derivative symbol 2*pi*i*k along `axis`, Nyquist zeroed: one read-only
+    array per (spec, axis), built on first use."""
     k = spec.wavenumbers()  # a fresh array
     k[spec.size // 2] = 0.0
-    return (TWO_PI * 1j * k).reshape((1,) * axis + (-1,) + (1,) * (spec.dim - 1 - axis))
+    sym = (TWO_PI * 1j * k).reshape((1,) * axis + (-1,) + (1,) * (spec.dim - 1 - axis))
+    sym.flags.writeable = False
+    return sym
 
 
 def differentiate(F: Spectrum, axis: int = 0) -> Spectrum:
@@ -426,6 +430,24 @@ def random_field(spec: GridSpec, s: float, seed, components: int = 1) -> Spectru
     flat[:, pos] = vals
     flat[:, neg] = np.conj(vals)
     return _trusted(Spectrum, spec, coeffs)
+
+
+def trig_polynomial(spec: GridSpec, sines=None, cosines=None) -> Spectrum:
+    """Exact 1D spectrum of sum_k a_k sin(2 pi k x) + b_k cos(2 pi k x) for
+    sines = {k: a_k}, cosines = {k: b_k}, integers |k| < N/2.  Only slots +-k
+    are nonzero, so `evaluate` runs at band 2 max|k| + 2; the forward transform
+    of samples carries FFT roundoff in every slot and evaluates at band N."""
+    if spec.dim != 1:
+        raise ValueError(f"trig_polynomial builds dim 1 spectra, got dim {spec.dim}")
+    coeffs, half = np.zeros((1, spec.size), dtype=np.complex128), spec.size // 2
+    for name, terms, unit in (("sines", sines, 2.0 * 1j), ("cosines", cosines, 2.0)):
+        for k, a in (terms or {}).items():
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or abs(k) >= half:
+                raise ValueError(f"{name} key {k!r} must be an integer with |k| < N/2 = {half}")
+            c = a / unit  # a / (2i) keeps the real part +0.0
+            coeffs[0, k] += c
+            coeffs[0, -k] += np.conj(c)
+    return Spectrum(spec, coeffs)
 
 
 def refine(F: Spectrum, factor: int) -> GridFunction:

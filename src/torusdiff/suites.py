@@ -37,6 +37,7 @@ from .grid import (
     inverse_transform,
     random_field,
     refine,
+    trig_polynomial,
 )
 from .norms import (
     cr_norm_rows,
@@ -127,14 +128,6 @@ def _require_positive(params: dict, keys: tuple[str, ...]):
             raise ValueError(f"tolerance {key!r} must be positive, got {value}")
         if not all(entry >= sys.float_info.min for entry in entries):  # margins divide by it
             raise ValueError(f"tolerance {key!r} must be a normal float, got {value}")
-
-
-def _sine_displacement(spec: GridSpec, amplitude: float) -> Spectrum:
-    """u(x) = amplitude * sin(2 pi x) as a displacement spectrum (dim 1)."""
-    coeffs = np.zeros((1,) + spec.shape, dtype=np.complex128)
-    coeffs[0, 1] = amplitude / (2.0 * 1j)
-    coeffs[0, -1] = -amplitude / (2.0 * 1j)
-    return Spectrum(spec, coeffs)
 
 
 def _cosine_field(spec: GridSpec, k: int, amplitude: float = 1.0) -> GridFunction:
@@ -355,10 +348,9 @@ def run_group(params: dict) -> SuiteResult:
 
 def _bundled_calculus_data(spec: GridSpec):
     """Analytic base data for the Taylor suites: u, phi, du, dphi."""
-    x = spec.axis_coordinates()
-    u = forward_transform(GridFunction(spec, np.sin(TWO_PI * x)[None]))
-    phi = make_diffeo(_sine_displacement(spec, 0.05))
-    du = forward_transform(GridFunction(spec, (0.02 * np.cos(2 * TWO_PI * x))[None]))
+    u = trig_polynomial(spec, sines={1: 1.0})
+    phi = make_diffeo(trig_polynomial(spec, sines={1: 0.05}))
+    du = trig_polynomial(spec, cosines={2: 0.02})
     dphi = _cosine_field(spec, 1, 0.01)
     return u, phi, du, dphi
 
@@ -423,7 +415,7 @@ def run_inverse_differential(params: dict) -> SuiteResult:
     }
     _apply_params(p, params, "eps", "ratio_band")
     spec = GridSpec(1, p["size"])
-    phi = make_diffeo(_sine_displacement(spec, p["amplitude"]))
+    phi = make_diffeo(trig_polynomial(spec, sines={1: p["amplitude"]}))
     psi = invert(phi)
     dphi = _cosine_field(spec, 1)
     errors = [
@@ -448,11 +440,8 @@ def run_lipschitz(params: dict) -> SuiteResult:
     }
     _apply_params(p, params, "radius", "stability")
     spec = GridSpec(1, p["size"])
-    x = spec.axis_coordinates()
-    f = forward_transform(
-        GridFunction(spec, (np.sin(TWO_PI * x) + 0.3 * np.cos(2 * TWO_PI * x))[None])
-    )
-    phi0 = make_diffeo(_sine_displacement(spec, 0.05))
+    f = trig_polynomial(spec, sines={1: 1.0}, cosines={2: 0.3})
+    phi0 = make_diffeo(trig_polynomial(spec, sines={1: 0.05}))
     radii = (p["radius"], p["radius"] / 2.0)
     quots = calculus.right_translation_quotients(f, phi0, radii, p["trials"], p["seed"], p["s"])
     maxima = {radius: max(q) for radius, q in zip(radii, quots)}
@@ -474,7 +463,7 @@ def run_loss_of_derivative(params: dict) -> SuiteResult:
     }
     _apply_params(p, params, "growth_min", "right_band")
     spec = GridSpec(1, p["size"])
-    phi = make_diffeo(_sine_displacement(spec, p["base_amplitude"]))
+    phi = make_diffeo(trig_polynomial(spec, sines={1: p["base_amplitude"]}))
     dphi_dir = _cosine_field(spec, 1)
     data = calculus.loss_of_derivative_probe(
         phi, dphi_dir, p["s"], octaves=p["octaves"]

@@ -42,4 +42,4 @@ def test_every_kept_path_agrees_with_its_alternative(built_rows):
     """Each pair computes the same thing, so its ratio compares like with like;
     an alternative whose source edit no longer applies fails here too."""
     _, pairs, differ = built_rows
-    assert pairs == 12 and differ == []
+    assert pairs == 13 and differ == []

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from torusdiff import calculus, diffeo
+from torusdiff import calculus, diffeo, grid
 from torusdiff.algebra import multiply
 from torusdiff.diffeo import compose_function, make_diffeo
 from torusdiff.grid import (
@@ -20,7 +20,7 @@ from torusdiff.grid import (
     random_field,
 )
 from torusdiff.norms import hs_norm
-from torusdiff.suites import random_certified_displacement, run_suite
+from torusdiff.suites import _bundled_calculus_data, random_certified_displacement, run_suite
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,6 +136,27 @@ def test_taylor_suites_pull_back_once_per_expansion(monkeypatch):
     points = (calculus.GL_NODES + 1) * report.params["size"]
     assert report.passed
     assert evals == [points] * len(report.params["seeds"]) * len(calculus.DEFAULT_SCALES)
+
+
+def test_suite_analytic_data_are_exact_spectra(monkeypatch):
+    """The Taylor suites' u = sin 2 pi x and du = 0.02 cos 4 pi x and lipschitz's
+    f = sin 2 pi x + 0.3 cos 4 pi x hold only their own modes, so they evaluate
+    at bands 4, 6 and 6; a forward transform of samples would give N."""
+    u, _, du, _ = _bundled_calculus_data(GridSpec(1, 256))
+    fields, quotients = [], calculus.right_translation_quotients
+    monkeypatch.setattr(calculus, "right_translation_quotients",
+                        lambda f, *args: fields.append(f) or quotients(f, *args))
+    run_suite("lipschitz")
+    assert [grid._band_size(F.coeffs, F.spec.size) for F in (u, du, *fields)] == [4, 6, 6]
+
+
+def test_default_taylor_order_jets_evaluate_at_band_18(monkeypatch):
+    """The default taylor-order jet stack [u; du_dir] holds |k| <= 8 (du_dir's
+    truncation), so each of its 24 pullbacks evaluates at band 18, not N = 256."""
+    bands, band_size = [], grid._band_size
+    monkeypatch.setattr(grid, "_band_size", lambda c, n: bands.append(band_size(c, n)) or bands[-1])
+    assert run_suite("taylor-order").passed
+    assert bands == [18] * 3 * len(calculus.DEFAULT_SCALES)
 
 
 def test_monomial_starts_from_its_first_factor(bundle):

@@ -25,6 +25,7 @@ from torusdiff.grid import (
     inverse_transform,
     random_field,
     refine,
+    trig_polynomial,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -238,6 +239,50 @@ def test_grid_and_spectral_multipliers_match_the_per_dimension_forms(dim, size):
     for got, want in pairs:
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
+    for axis in range(dim):  # cached per (spec, axis), so shared and read-only
+        assert not _symbol(spec, axis).flags.writeable
+        assert _symbol(spec, axis) is _symbol(GridSpec(dim, size), axis)
+
+
+@pytest.mark.parametrize("size", [8, 64, 256])
+def test_trig_polynomial_is_the_transform_of_its_samples(size):
+    """The exact spectrum equals forward_transform of its samples to 1e-15 of
+    their l1 norm (a negative k, a k = 0 cosine and a shared k included), and
+    evaluates at the band of its largest |k|."""
+    spec = GridSpec(1, size)
+    x = spec.axis_coordinates()
+    sines, cosines = {1: 1.0, -3: -0.7}, {0: 0.4, 2: 0.3, 3: 0.25}
+    vals = sum(a * np.sin(TWO_PI * k * x) for k, a in sines.items())
+    vals = vals + sum(b * np.cos(TWO_PI * k * x) for k, b in cosines.items())
+    got = trig_polynomial(spec, sines=sines, cosines=cosines).coeffs
+    want = forward_transform(GridFunction(spec, vals[None])).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(want))
+    assert _band_size(got, size) == 8
+
+
+@pytest.mark.parametrize("amp", [0.05, -0.3, np.float64(0.09), np.sqrt(2.0) / 17.0])
+def test_trig_polynomial_sine_is_the_slot_form_bit_for_bit(amp):
+    """One sine is amp / 2i at k and -amp / 2i at -k, in bytes: the real
+    parts stay +0.0."""
+    spec = GridSpec(1, 64)
+    want = np.zeros((1, 64), dtype=np.complex128)
+    want[0, 4] = amp / (2.0 * 1j)
+    want[0, -4] = -amp / (2.0 * 1j)
+    assert trig_polynomial(spec, sines={4: amp}).coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("terms, key", [
+    ({"sines": {4: 1.0}}, "sines key 4"), ({"cosines": {-4: 1.0}}, "cosines key -4"),
+    ({"sines": {9: 1.0}}, "sines key 9"), ({"cosines": {1.0: 1.0}}, "cosines key 1.0"),
+    ({"sines": {True: 1.0}}, "sines key True"),
+])
+def test_trig_polynomial_rejects_a_key_outside_the_band(terms, key):
+    """|k| >= N/2 (the Nyquist slot and beyond) and non-integer keys raise,
+    naming the key; so does a T^2 grid."""
+    with pytest.raises(ValueError, match=key):
+        trig_polynomial(GridSpec(1, 8), **terms)
+    with pytest.raises(ValueError, match="dim 2"):
+        trig_polynomial(GridSpec(2, 8), sines={1: 1.0})
 
 
 # ---------------------------------------------------------------------------
